@@ -6,6 +6,7 @@ from .space import (
     DiscreteDistribution,
     DomainError,
     Filtration,
+    LevelLaws,
     RandomVariable,
     ScenarioSpace,
     conditional_distribution,

@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import DistortionFamily, check_family_monotone
-from .risk import distribution_choquet
 from .space import (
-    AdaptedValue,
     DomainError,
     Filtration,
+    LevelLaws,
     RandomVariable,
     ScenarioSpace,
-    conditional_distribution,
+    conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
 )
 
 X_MIN_DEFAULT = 1e-9
@@ -43,33 +42,37 @@ class AcceptabilityResult:
         object.__setattr__(self, "cell_values", tuple(float(v) for v in self.cell_values))
 
 
-def _rho_at(dist, family, x: float) -> float:
-    return distribution_choquet(dist, family(x))
+def _rho_at(support, F, family, x: float) -> float:
+    """Risk of one cell's law (sorted support, cumulative weights F) under
+    the family member x."""
+    psi_F = np.asarray(family(x)(F), dtype=float)
+    return -float(support @ np.diff(psi_F, prepend=0.0))
 
 
 def _cell_index(
-    dist,
+    support,
+    F,
     family: DistortionFamily,
     x_min: float,
     x_max: float,
     tol: float,
 ) -> float:
-    if _rho_at(dist, family, x_min) > 0.0:
+    if _rho_at(support, F, family, x_min) > 0.0:
         return 0.0
     lo = x_min
     hi = 2.0 * x_min
     while hi <= x_max:
-        if _rho_at(dist, family, hi) > 0.0:
+        if _rho_at(support, F, family, hi) > 0.0:
             break
         lo = hi
         hi *= 2.0
     else:
-        if _rho_at(dist, family, x_max) <= 0.0:
+        if _rho_at(support, F, family, x_max) <= 0.0:
             return math.inf
         lo, hi = lo, x_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _rho_at(dist, family, mid) <= 0.0:
+        if _rho_at(support, F, family, mid) <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -97,11 +100,11 @@ def dcai(
         report = check_family_monotone(family)
         if not report.monotone_ok:
             raise DomainError("family is not increasing on the probe grid")
-    out = []
-    for k in range(filtration.n_cells(t)):
-        d = conditional_distribution(space, filtration, X, t, k)
-        out.append(_cell_index(d, family, x_min, x_max, tol))
-    return AcceptabilityResult(t, tuple(out))
+    laws = LevelLaws(space, filtration, X, t)
+    return AcceptabilityResult(t, tuple(
+        _cell_index(laws.support[a:b], laws.F[a:b], family, x_min, x_max, tol)
+        for a, b in zip(laws.start, laws.stop)
+    ))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ _FAMILIES = {
 
 
 class SpecError(ValueError):
-    """Unparseable distortion, measure or family descriptor."""
+    """Bad command-line argument: an unparseable distortion, measure or
+    family descriptor, a missing option, or an unwritable output path."""
 
 
 def parse_measure(spec: str) -> DistortionMeasure:
@@ -325,8 +326,11 @@ def _cmd_repro(ns) -> int:
     )
     text = document_to_text(doc)
     out_path = ns.out or f"{ce.name}.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SpecError(f"{out_path}: {e.strerror}") from None
     computed = {}
     max_err = 0.0
     for label, target in ce.expected.items():
@@ -355,12 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="distrisk",
         description="Distortion risk measures and acceptability indices on scenario trees",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="reserved; evaluation is single-threaded at this scale",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

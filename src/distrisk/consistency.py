@@ -82,12 +82,6 @@ class Counterexample:
                 )
 
 
-def _parents(filtration: Filtration, t: int, s: int) -> list[int]:
-    """Index of the t-cell containing each s-cell."""
-    cell_of = filtration.cell_of_atom(t)
-    return [int(cell_of[cell[0]]) for cell in filtration.cells(s)]
-
-
 def check_submartingale(
     space, filtration, X, psi: Distortion, t: int, s: int
 ) -> ConsistencyReport:
@@ -123,16 +117,18 @@ def check_super_strict_failure(
     neg_mean = -conditional_expectation(space, filtration, X, t).cell_values
     margins = rho_t.cell_values - neg_mean
     cell_of = filtration.cell_of_atom(t)
+    low = np.full(margins.size, np.inf)
+    high = np.full(margins.size, -np.inf)
+    np.minimum.at(low, cell_of, X.values)
+    np.maximum.at(high, cell_of, X.values)
+    constant = low == high
+    ok = np.where(constant, np.abs(margins) <= LEQ_TOL, margins > LEQ_TOL)
     verdict = "holds"
     witness = None
-    for k in range(filtration.n_cells(t)):
-        vals = X.values[cell_of == k]
-        constant = bool(np.all(vals == vals[0]))
-        ok = abs(margins[k]) <= LEQ_TOL if constant else margins[k] > LEQ_TOL
-        if not ok:
-            verdict = "violated"
-            witness = {"cell": k, "margin": float(margins[k]), "constant": constant}
-            break
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        verdict = "violated"
+        witness = {"cell": k, "margin": float(margins[k]), "constant": bool(constant[k])}
     return ConsistencyReport(
         "super_strict_failure", t, None, tuple(float(m) for m in margins),
         verdict, witness,
@@ -151,19 +147,19 @@ def check_weak_acceptance(
         raise DomainError("need t < s")
     rho_t = choquet(space, filtration, X, t, psi).cell_values
     rho_s = choquet(space, filtration, X, s, psi).cell_values
-    parent = _parents(filtration, t, s)
+    parent = filtration.parent(t, s)
+    rejected_children = np.bincount(parent, weights=rho_s > LEQ_TOL, minlength=rho_t.size)
+    bad = (rejected_children == 0) & (rho_t > LEQ_TOL)
     verdict = "holds"
     witness = None
-    for k in range(filtration.n_cells(t)):
-        children = [j for j, p in enumerate(parent) if p == k]
-        if all(rho_s[j] <= LEQ_TOL for j in children) and rho_t[k] > LEQ_TOL:
-            verdict = "violated"
-            witness = {
-                "cell": k,
-                "rho_t": float(rho_t[k]),
-                "rho_s_children": [float(rho_s[j]) for j in children],
-            }
-            break
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        verdict = "violated"
+        witness = {
+            "cell": k,
+            "rho_t": float(rho_t[k]),
+            "rho_s_children": [float(v) for v in rho_s[parent == k]],
+        }
     return ConsistencyReport(
         "weak_acceptance", t, s, tuple(float(v) for v in rho_t), verdict, witness
     )
@@ -179,28 +175,28 @@ def check_weak_rejection_dcai(
     """
     if t >= s:
         raise DomainError("need t < s")
-    a_t = dcai(space, filtration, X, t, family).cell_values
-    a_s = dcai(space, filtration, X, s, family).cell_values
-    parent = _parents(filtration, t, s)
+    a_t = np.asarray(dcai(space, filtration, X, t, family).cell_values)
+    a_s = np.asarray(dcai(space, filtration, X, s, family).cell_values)
+    parent = filtration.parent(t, s)
     index_slack = 1e-6
+    # child j's index m = a_s[j] is a violating level of its parent k when
+    # every child of k is at or below m and k itself is above it
+    top_child = np.full(a_t.size, -np.inf)
+    np.maximum.at(top_child, parent, a_s)
+    level = a_s + index_slack
+    bad = np.isfinite(a_s) & (top_child[parent] <= level) & (a_t[parent] > level)
     verdict = "holds"
     witness = None
-    for k in range(filtration.n_cells(t)):
-        children = [j for j, p in enumerate(parent) if p == k]
-        for m in (a_s[j] for j in children):
-            if math.isinf(m):
-                continue
-            if all(a_s[j] <= m + index_slack for j in children) and a_t[k] > m + index_slack:
-                verdict = "violated"
-                witness = {
-                    "cell": k,
-                    "level": float(m),
-                    "index_t": float(a_t[k]),
-                    "index_s_children": [float(a_s[j]) for j in children],
-                }
-                break
-        if witness:
-            break
+    if np.any(bad):
+        k = int(parent[bad].min())
+        j = int(np.argmax(bad & (parent == k)))
+        verdict = "violated"
+        witness = {
+            "cell": k,
+            "level": float(a_s[j]),
+            "index_t": float(a_t[k]),
+            "index_s_children": [float(v) for v in a_s[parent == k]],
+        }
     return ConsistencyReport(
         "dcai_weak_rejection", t, s, tuple(float(v) for v in a_t), verdict, witness
     )

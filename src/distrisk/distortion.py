@@ -11,7 +11,7 @@ used to build acceptability indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,6 +24,13 @@ def _check_unit(y, what: str = "argument") -> np.ndarray:
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError(f"{what} must lie in [0, 1]")
     return arr
+
+
+def _check_parameter(x) -> float:
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError("family parameter must be a finite non-negative number")
+    return x
 
 
 class Distortion:
@@ -105,9 +112,7 @@ class MinVar(Distortion):
     """psi(y) = 1 - (1 - y)**(x + 1), x >= 0."""
 
     def __init__(self, x: float):
-        x = float(x)
-        if x < 0:
-            raise DomainError("family parameter must be non-negative")
+        x = _check_parameter(x)
         self.x = x
         self.label = f"minvar:{x:g}"
 
@@ -133,9 +138,7 @@ class MaxVar(Distortion):
     """psi(y) = y**(1/(x + 1)), x >= 0."""
 
     def __init__(self, x: float):
-        x = float(x)
-        if x < 0:
-            raise DomainError("family parameter must be non-negative")
+        x = _check_parameter(x)
         self.x = x
         self.label = f"maxvar:{x:g}"
 
@@ -165,9 +168,7 @@ class MaxMinVar(Distortion):
     """psi(y) = (1 - (1 - y)**(x + 1))**(1/(x + 1)), x >= 0."""
 
     def __init__(self, x: float):
-        x = float(x)
-        if x < 0:
-            raise DomainError("family parameter must be non-negative")
+        x = _check_parameter(x)
         self.x = x
         self.label = f"maxminvar:{x:g}"
 
@@ -203,9 +204,7 @@ class MinMaxVar(Distortion):
     """psi(y) = 1 - (1 - y**(1/(x + 1)))**(x + 1), x >= 0."""
 
     def __init__(self, x: float):
-        x = float(x)
-        if x < 0:
-            raise DomainError("family parameter must be non-negative")
+        x = _check_parameter(x)
         self.x = x
         self.label = f"minmaxvar:{x:g}"
 
@@ -299,6 +298,8 @@ class DistortionMeasure:
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1 or s.size == 0:
             raise DomainError("support and weights must be matching non-empty vectors")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(w))):
+            raise DomainError("support and weights must be finite")
         if np.any(s <= 0.0) or np.any(s > 1.0):
             raise DomainError("support must lie in (0, 1]")
         if np.any(np.diff(s) <= 0):
@@ -334,8 +335,8 @@ def dirac(s: float) -> DistortionMeasure:
 def pprime_measure(a: float) -> DistortionMeasure:
     """Two-atom boundary measure ((a-1)/a) at 1/(a+1) plus (1/a) at 1, a >= 1."""
     a = float(a)
-    if a < 1.0:
-        raise DomainError("boundary-family parameter must satisfy a >= 1")
+    if not 1.0 <= a < math.inf:
+        raise DomainError("boundary-family parameter must be finite with a >= 1")
     if a == 1.0:
         return dirac(1.0)
     return DistortionMeasure(
@@ -363,9 +364,7 @@ def psi_from_measure(mu: DistortionMeasure, label: str | None = None) -> Piecewi
     if knots_y[-1] < 1.0:
         knots_y.append(1.0)
         knots_v.append(1.0)
-    psi = PiecewiseLinear(knots_y, knots_v, label=label or "from_measure")
-    psi.measure = mu
-    return psi
+    return PiecewiseLinear(knots_y, knots_v, label=label or "from_measure")
 
 
 def pprime_distortion(a: float) -> PiecewiseLinear:
@@ -472,13 +471,11 @@ def check_regular(psi: Distortion, grid_step: float = 1e-4) -> RegularityReport:
 
 @dataclass(frozen=True)
 class DistortionFamily:
-    """Distortions indexed by a positive parameter, with declared regularity
-    flags used by the acceptability index."""
+    """Distortions indexed by a positive parameter; the acceptability index
+    assumes them increasing in it (see :func:`check_family_monotone`)."""
 
     generator: Callable[[float], Distortion]
     name: str = "family"
-    increasing: bool = True
-    right_continuous: bool = True
 
     def __call__(self, x: float) -> Distortion:
         return self.generator(float(x))

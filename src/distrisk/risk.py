@@ -3,30 +3,29 @@
 Everything here is exact on finite supports: the distorted-expectation
 evaluator is a sorted cumulative sum, quantiles scan CDF breakpoints, and the
 tail-mean integrals are step integrals with closed-form pieces.  All
-operations return one value per information cell at the requested time.
+operations return one value per information cell at the requested time; each
+sorts the payoff once for the whole level (:class:`~distrisk.space.LevelLaws`)
+and evaluates every cell in the same few array expressions.  The
+``distribution_*`` functions compute the same quantities on one
+:class:`~distrisk.space.DiscreteDistribution` and serve as the per-cell
+reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distortion import Distortion, DistortionMeasure, MinVar, psi_from_measure
+from .distortion import Distortion, DistortionMeasure, psi_from_measure
 from .space import (
     AdaptedValue,
     DiscreteDistribution,
     DomainError,
     Filtration,
+    LevelLaws,
     RandomVariable,
     ScenarioSpace,
-    conditional_distribution,
+    conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
 )
-
-
-def _cell_laws(space, filtration, X, t):
-    return [
-        conditional_distribution(space, filtration, X, t, k)
-        for k in range(filtration.n_cells(t))
-    ]
 
 
 def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
@@ -53,8 +52,12 @@ def choquet(
     """Distortion risk of X given the information at time t, per cell."""
     if not psi.regular:
         raise DomainError("risk evaluation needs a concave continuous distortion")
-    vals = [distribution_choquet(d, psi) for d in _cell_laws(space, filtration, X, t)]
-    return AdaptedValue(t, np.asarray(vals))
+    return AdaptedValue(t, _distorted(LevelLaws(space, filtration, X, t), psi))
+
+
+def _distorted(laws: LevelLaws, psi: Distortion) -> np.ndarray:
+    psi_F = np.asarray(psi(laws.F), dtype=float)
+    return -laws.sum(laws.support * (psi_F - laws.shift(psi_F)))
 
 
 def distribution_quantile_upper(dist: DiscreteDistribution, alpha: float) -> float:
@@ -82,21 +85,15 @@ def _check_alpha_open(alpha: float) -> float:
 def quantile_upper(space, filtration, X, t, alpha) -> AdaptedValue:
     """Upper conditional quantile at level alpha, per cell."""
     alpha = _check_alpha_open(alpha)
-    vals = [
-        distribution_quantile_upper(d, alpha)
-        for d in _cell_laws(space, filtration, X, t)
-    ]
-    return AdaptedValue(t, np.asarray(vals))
+    laws = LevelLaws(space, filtration, X, t)
+    return AdaptedValue(t, laws.support[laws.first(laws.F > alpha)])
 
 
 def quantile_lower(space, filtration, X, t, alpha) -> AdaptedValue:
     """Lower conditional quantile at level alpha, per cell."""
     alpha = _check_alpha_open(alpha)
-    vals = [
-        distribution_quantile_lower(d, alpha)
-        for d in _cell_laws(space, filtration, X, t)
-    ]
-    return AdaptedValue(t, np.asarray(vals))
+    laws = LevelLaws(space, filtration, X, t)
+    return AdaptedValue(t, laws.support[laws.first(laws.F >= alpha)])
 
 
 def var(space, filtration, X, t, alpha) -> AdaptedValue:
@@ -112,9 +109,7 @@ def distribution_avar(dist: DiscreteDistribution, alpha: float) -> float:
     (F_{i-1}, F_i]; the integral is the sum of step values times overlap
     lengths with (0, alpha), computed exactly.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("tail level must lie in (0, 1]")
+    alpha = _check_alpha_tail(alpha)
     F = np.cumsum(dist.weights)
     F[-1] = 1.0
     lo = np.concatenate(([0.0], F[:-1]))
@@ -122,12 +117,22 @@ def distribution_avar(dist: DiscreteDistribution, alpha: float) -> float:
     return -float(dist.support @ overlap) / alpha
 
 
+def _check_alpha_tail(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError("tail level must lie in (0, 1]")
+    return alpha
+
+
+def _tail_mean(laws: LevelLaws, alpha: float) -> np.ndarray:
+    alpha = _check_alpha_tail(alpha)
+    overlap = np.clip(np.minimum(laws.F, alpha) - laws.lo, 0.0, None)
+    return -laws.sum(laws.support * overlap) / alpha
+
+
 def avar(space, filtration, X, t, alpha) -> AdaptedValue:
     """Conditional average value at risk at level alpha, per cell."""
-    vals = [
-        distribution_avar(d, alpha) for d in _cell_laws(space, filtration, X, t)
-    ]
-    return AdaptedValue(t, np.asarray(vals))
+    return AdaptedValue(t, _tail_mean(LevelLaws(space, filtration, X, t), alpha))
 
 
 def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
@@ -136,9 +141,7 @@ def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
     The density is 1/alpha below the upper quantile q, a fractional weight on
     the atom at q chosen so the density integrates to 1, and 0 above.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError("tail level must lie in (0, 1]")
+    alpha = _check_alpha_tail(alpha)
     if alpha == 1.0:
         return -dist.mean()
     q = distribution_quantile_upper(dist, alpha)
@@ -153,11 +156,16 @@ def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
 
 def avar_robust(space, filtration, X, t, alpha) -> AdaptedValue:
     """Conditional average value at risk via the maximizing density."""
-    vals = [
-        distribution_avar_robust(d, alpha)
-        for d in _cell_laws(space, filtration, X, t)
-    ]
-    return AdaptedValue(t, np.asarray(vals))
+    alpha = _check_alpha_tail(alpha)
+    laws = LevelLaws(space, filtration, X, t)
+    if alpha == 1.0:
+        return AdaptedValue(t, -laws.sum(laws.support * laws.weights))
+    q = laws.first(laws.F > alpha)  # the upper quantile's point in each cell
+    eps = (alpha - laws.lo[q]) / laws.weights[q]
+    point = np.arange(laws.support.size)
+    at = q[laws.cell]
+    density = ((point < at) + eps[laws.cell] * (point == at)) / alpha
+    return AdaptedValue(t, -laws.sum(laws.support * density * laws.weights))
 
 
 def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> float:
@@ -168,20 +176,6 @@ def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> flo
             for s, w in zip(mu.support, mu.weights)
         )
     )
-
-
-def _distribution_dwvar_quantile_form(
-    dist: DiscreteDistribution, psi: Distortion
-) -> float:
-    """Cross-check: -integral of the upper quantile against the slope of the
-    generated distortion."""
-    F = np.cumsum(dist.weights)
-    F[-1] = 1.0
-    lo = np.concatenate(([0.0], F[:-1]))
-    # integral over each level interval of the piecewise-linear slope is a
-    # difference of distortion values
-    weights = np.asarray(psi(F)) - np.asarray(psi(lo))
-    return -float(dist.support @ weights)
 
 
 def dwvar(
@@ -201,16 +195,16 @@ def dwvar(
     if not isinstance(mu, DistortionMeasure):
         raise DomainError("dwvar needs a finitely supported level measure")
     psi = psi_from_measure(mu)
-    out = []
-    for d in _cell_laws(space, filtration, X, t):
-        v = distribution_dwvar(d, mu)
-        v_alt = _distribution_dwvar_quantile_form(d, psi)
-        if abs(v - v_alt) > cross_check_tol * max(1.0, abs(v)):
-            raise AssertionError(
-                f"dwvar internal cross-check failed: {v} vs {v_alt}"
-            )
-        out.append(v)
-    return AdaptedValue(t, np.asarray(out))
+    laws = LevelLaws(space, filtration, X, t)
+    v = sum(w * _tail_mean(laws, s) for s, w in zip(mu.support, mu.weights))
+    v_alt = _distorted(laws, psi)
+    bad = np.abs(v - v_alt) > cross_check_tol * np.maximum(1.0, np.abs(v))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise AssertionError(
+            f"dwvar internal cross-check failed: {v[k]} vs {v_alt[k]}"
+        )
+    return AdaptedValue(t, v)
 
 
 def min_iid_rho(space, filtration, X, t, k: int) -> AdaptedValue:
@@ -222,18 +216,6 @@ def min_iid_rho(space, filtration, X, t, k: int) -> AdaptedValue:
     k = int(k)
     if k < 1:
         raise DomainError("copy count must be a positive integer")
-    out = []
-    for d in _cell_laws(space, filtration, X, t):
-        F = np.cumsum(d.weights)
-        F[-1] = 1.0
-        survival = 1.0 - F
-        F_min = 1.0 - survival**k
-        w_min = np.diff(np.concatenate(([0.0], F_min)))
-        out.append(-float(d.support @ w_min))
-    return AdaptedValue(t, np.asarray(out))
-
-
-def minvar_of_copies(k: int) -> MinVar:
-    """The distortion whose risk equals the iid-minimum construction with k
-    copies."""
-    return MinVar(int(k) - 1)
+    laws = LevelLaws(space, filtration, X, t)
+    F_min = 1.0 - (1.0 - laws.F) ** k
+    return AdaptedValue(t, -laws.sum(laws.support * (F_min - laws.shift(F_min))))

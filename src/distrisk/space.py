@@ -8,6 +8,7 @@ this package is built on.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,6 @@ class ScenarioSpace:
         return int(self.probabilities.size)
 
 
-def _normalize_partitions(partitions) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    out = []
-    for level in partitions:
-        cells = tuple(tuple(int(i) for i in cell) for cell in level)
-        out.append(cells)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Filtration:
     """Per-time partitions of the atom index set.
 
@@ -70,55 +62,94 @@ class Filtration:
     from one time to the next, full separation at the horizon -- are reported
     by :func:`validate`, so defective structures can still be built and
     diagnosed.
+
+    Each level is kept as one flat array of atom indices in the caller's cell
+    order, the cell sizes, and a read-only atom -> cell map, all int32 (half
+    the memory of the default integer; np.fromiter rejects indices that do
+    not fit); the cells as int tuples are built from those on first request.
     """
 
-    partitions: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        parts = _normalize_partitions(self.partitions)
-        if not parts:
-            raise DomainError("filtration needs at least one level")
-        atom_set = None
-        for t, level in enumerate(parts):
-            seen: set[int] = set()
-            count = 0
-            for cell in level:
-                if not cell:
-                    raise DomainError(f"empty cell at time {t}")
-                seen.update(cell)
-                count += len(cell)
-            if count != len(seen):
-                raise DomainError(f"overlapping cells at time {t}")
-            if atom_set is None:
-                atom_set = seen
-            elif seen != atom_set:
+    def __init__(self, partitions) -> None:
+        self._atoms: list[np.ndarray] = []
+        self._sizes: list[np.ndarray] = []
+        self._cell_of: list[np.ndarray] = []
+        n = None
+        for t, level in enumerate(partitions):
+            sizes = np.fromiter(map(len, level), dtype=np.int32)
+            if np.any(sizes == 0):
+                raise DomainError(f"empty cell at time {t}")
+            atoms = np.fromiter(
+                itertools.chain.from_iterable(level), dtype=np.int32,
+                count=int(sizes.sum()),
+            )
+            if n is None:
+                n = atoms.size
+            if atoms.size and (atoms.min() < 0 or atoms.max() >= n):
+                if t == 0:
+                    raise DomainError("atom indices must be 0..n-1")
                 raise DomainError(f"level {t} does not cover the same atom set")
-        if atom_set != set(range(len(atom_set))):
-            raise DomainError("atom indices must be 0..n-1")
-        object.__setattr__(self, "partitions", parts)
+            if np.bincount(atoms, minlength=n).max(initial=0) > 1:
+                raise DomainError(f"overlapping cells at time {t}")
+            if atoms.size != n:
+                raise DomainError(f"level {t} does not cover the same atom set")
+            cell_of = np.empty(n, dtype=np.int32)
+            cell_of[atoms] = np.repeat(np.arange(sizes.size), sizes)
+            for a in (atoms, sizes, cell_of):
+                a.setflags(write=False)
+            self._atoms.append(atoms)
+            self._sizes.append(sizes)
+            self._cell_of.append(cell_of)
+        if n is None:
+            raise DomainError("filtration needs at least one level")
+        self._cells: list = [None] * len(self._atoms)
+        self._ints: list | None = None
+
+    @property
+    def partitions(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every level's cells, as :meth:`cells` gives them."""
+        return tuple(self.cells(t) for t in range(self.horizon + 1))
 
     @property
     def horizon(self) -> int:
-        return len(self.partitions) - 1
+        return len(self._atoms) - 1
 
     @property
     def n_atoms(self) -> int:
-        return sum(len(c) for c in self.partitions[0])
+        return int(self._atoms[0].size)
 
-    def cells(self, t: int) -> tuple[tuple[int, ...], ...]:
+    def _check_time(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
             raise DomainError(f"time {t} outside 0..{self.horizon}")
-        return self.partitions[t]
+        return t
+
+    def cells(self, t: int) -> tuple[tuple[int, ...], ...]:
+        """The cells at time t as int tuples, in the order they were given."""
+        if self._cells[self._check_time(t)] is None:
+            if self._ints is None:  # one int object per atom, shared by all levels
+                self._ints = list(range(self.n_atoms))
+            atoms = list(map(self._ints.__getitem__, self._atoms[t].tolist()))
+            ends = np.cumsum(self._sizes[t]).tolist()
+            self._cells[t] = tuple(
+                tuple(atoms[a:b]) for a, b in zip([0] + ends[:-1], ends)
+            )
+        return self._cells[t]
 
     def n_cells(self, t: int) -> int:
-        return len(self.cells(t))
+        return int(self._sizes[self._check_time(t)].size)
 
     def cell_of_atom(self, t: int) -> np.ndarray:
-        """Map atom index -> cell index at time t."""
-        out = np.empty(self.n_atoms, dtype=int)
-        for k, cell in enumerate(self.cells(t)):
-            out[list(cell)] = k
-        return out
+        """Map atom index -> cell index at time t (a read-only array)."""
+        return self._cell_of[self._check_time(t)]
+
+    def parent(self, t: int, s: int) -> np.ndarray:
+        """Index of the t-cell containing each s-cell.
+
+        Read off at the first listed atom of every s-cell; when the level at s
+        refines the level at t, that is the t-cell holding the whole s-cell.
+        """
+        sizes = self._sizes[self._check_time(s)]
+        first = self._atoms[s][np.cumsum(sizes) - sizes]
+        return self.cell_of_atom(t)[first]
 
 
 @dataclass(frozen=True)
@@ -219,29 +250,96 @@ def conditional_distribution(
     return DiscreteDistribution(np.asarray(support), w)
 
 
+def _merge_ties(cell_of: np.ndarray, x: np.ndarray, p: np.ndarray):
+    """Sort the atoms by (cell, value) and merge equal values within a cell:
+    the cell, the value and the total probability of each merged point."""
+    order = np.lexsort((x, cell_of))
+    cell = cell_of[order]
+    x = x[order]
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (cell[1:] != cell[:-1]) | (x[1:] != x[:-1])
+    runs = np.flatnonzero(new)
+    return cell[runs], x[runs], np.add.reduceat(p[order], runs)
+
+
+class LevelLaws:
+    """Conditional laws of one payoff on every cell of the partition at time t.
+
+    One lexsort by (cell, value) lines up each cell's atoms in increasing
+    value order, cell after cell; atoms of one cell sharing the exact same
+    value are merged by summing their probabilities.  The laws are kept as
+    flat arrays over the merged points, cell by cell:
+
+    - ``cell``: the cell of each point;
+    - ``support``: its value, strictly increasing within a cell;
+    - ``weights``: its probability conditional on the cell;
+    - ``F``: cumulative conditional weight within the cell, exactly 1 at the
+      cell's last point;
+    - ``lo``: the left end of the point's level interval, that is ``F`` of
+      the previous point of the same cell, 0 at a cell's first point;
+    - ``start``, ``stop``: the range of each cell's points.
+
+    ``F`` is a separate cumulative sum per cell, so it carries no round-off
+    from earlier cells: cells with equally many points are stacked as the
+    rows of one matrix and summed along the rows.
+    """
+
+    def __init__(
+        self, space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
+    ) -> None:
+        if not X.values.size == space.n_atoms == filtration.n_atoms:
+            raise DomainError("payoff length does not match atom count")
+        cell_of = filtration.cell_of_atom(t)
+        p = space.probabilities
+        n_cells = filtration.n_cells(t)
+        self.cell, self.support, mass = _merge_ties(cell_of, X.values, p)
+        cell_mass = np.bincount(cell_of, weights=p, minlength=n_cells)
+        self.weights = mass / cell_mass[self.cell]
+        counts = np.bincount(self.cell, minlength=n_cells)
+        self.stop = np.cumsum(counts)
+        self.start = self.stop - counts
+        self.F = np.empty_like(self.weights)
+        for size in np.flatnonzero(np.bincount(counts)):
+            rows = self.start[counts == size, None] + np.arange(size)
+            self.F[rows] = np.cumsum(self.weights[rows], axis=1)
+        self.F[self.stop - 1] = 1.0
+        self.lo = self.shift(self.F)
+
+    def shift(self, a: np.ndarray) -> np.ndarray:
+        """Pointwise values moved one point later within each cell, 0 first."""
+        out = np.empty_like(a)
+        out[1:] = a[:-1]
+        out[self.start] = 0.0
+        return out
+
+    def sum(self, a: np.ndarray) -> np.ndarray:
+        """Per-cell sum of a pointwise array."""
+        return np.add.reduceat(a, self.start)
+
+    def first(self, mask: np.ndarray) -> np.ndarray:
+        """Per cell, the first point where a mask that is False then True
+        within the cell (like ``F > alpha``) turns True."""
+        return self.start + np.add.reduceat(~mask, self.start, dtype=np.intp)
+
+
 def conditional_expectation(
     space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
 ) -> AdaptedValue:
     """Probability-weighted mean of X on each cell at time t."""
     if X.values.size != space.n_atoms:
         raise DomainError("payoff length does not match atom count")
-    out = []
-    for cell in filtration.cells(t):
-        idx = list(cell)
-        p = space.probabilities[idx]
-        out.append(float(X.values[idx] @ p / p.sum()))
-    return AdaptedValue(t, np.asarray(out))
+    cell_of = filtration.cell_of_atom(t)
+    p = space.probabilities
+    n = filtration.n_cells(t)
+    mass = np.bincount(cell_of, weights=X.values * p, minlength=n)
+    return AdaptedValue(t, mass / np.bincount(cell_of, weights=p, minlength=n))
 
 
 def lift(filtration: Filtration, adapted: AdaptedValue) -> RandomVariable:
     """Spread an adapted value back onto atoms (constant on each cell)."""
-    cells = filtration.cells(adapted.time)
-    if adapted.cell_values.size != len(cells):
+    if adapted.cell_values.size != filtration.n_cells(adapted.time):
         raise DomainError("cell value count does not match partition")
-    out = np.empty(filtration.n_atoms)
-    for k, cell in enumerate(cells):
-        out[list(cell)] = adapted.cell_values[k]
-    return RandomVariable(out)
+    return RandomVariable(adapted.cell_values[filtration.cell_of_atom(adapted.time)])
 
 
 def validate(probabilities, partitions, *value_vectors) -> list[str]:
@@ -265,7 +363,7 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     if abs(total - 1.0) > RENORM_WINDOW:
         report.append(f"probabilities: sum {total} outside renormalization window")
 
-    levels = [_normalize_partitions([lvl])[0] for lvl in partitions]
+    levels = [[tuple(int(i) for i in cell) for cell in lvl] for lvl in partitions]
     atom_set = set(range(n))
     ok_shape = True
     for t, level in enumerate(levels):

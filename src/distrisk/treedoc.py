@@ -9,6 +9,7 @@ digits so doubles round-trip exactly and repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,11 @@ def _fmt(x) -> str:
 
 
 def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits; insertion order kept."""
+    """JSON text with floats at 17 significant digits; insertion order kept.
+
+    An iterator is written as an array of non-scalar items, rendered one item
+    at a time, so the items need not all exist at once.
+    """
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -53,14 +58,13 @@ def dumps_17g(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(isinstance(v, (int, float, str, bool)) or v is None for v in obj)
-        if flat:
-            return "[" + ", ".join(dumps_17g(v) for v in obj) + "]"
+    if isinstance(obj, (list, tuple)) and all(
+        isinstance(v, (int, float, str, bool)) or v is None for v in obj
+    ):
+        return "[" + ", ".join(dumps_17g(v) for v in obj) + "]"
+    if isinstance(obj, (list, tuple, Iterator)):
         items = [f"{pad}  {dumps_17g(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -72,18 +76,19 @@ def dumps_17g(obj, indent: int = 0) -> str:
 
 def document_to_text(doc: TreeDocument) -> str:
     names = list(doc.payoffs)
-    atoms = []
-    for i in range(doc.space.n_atoms):
-        atoms.append({
+    atoms = (
+        {
             "probability": float(doc.space.probabilities[i]),
             "payoffs": {n: float(doc.payoffs[n].values[i]) for n in names},
-        })
+        }
+        for i in range(doc.space.n_atoms)
+    )
     body = {
         "schema_version": SCHEMA_VERSION,
         "atoms": atoms,
-        "filtration": [
+        "filtration": (
             [list(cell) for cell in level] for level in doc.filtration.partitions
-        ],
+        ),
         "metadata": {str(k): str(v) for k, v in doc.metadata.items()},
     }
     return dumps_17g(body) + "\n"
@@ -146,7 +151,7 @@ def document_from_text(text: str) -> TreeDocument:
         raise ParseError("; ".join(problems))
     try:
         space = ScenarioSpace(np.asarray(probs))
-        filtration = Filtration(tuple(tuple(tuple(c) for c in lvl) for lvl in levels))
+        filtration = Filtration(levels)
         payoffs_rv = {n: RandomVariable(np.asarray(v)) for n, v in columns.items()}
     except DomainError as e:
         raise ParseError(str(e)) from None

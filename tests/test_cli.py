@@ -13,6 +13,7 @@ from distrisk.treedoc import (
     TreeDocument,
     document_from_text,
     document_to_text,
+    dumps_17g,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -42,6 +43,14 @@ def run(capsys, *argv):
     return code, json.loads(out) if out else None
 
 
+def run_failing(capsys, *argv):
+    """Exit code and stderr of a command that must print no report."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 class TestSpecParsing:
     def test_distortion_grammar(self):
         assert parse_distortion("identity").is_identity()
@@ -55,6 +64,29 @@ class TestSpecParsing:
         for spec in ("nope", "minvar", "minvar:-1", "prop_hazard:2", "measure:1"):
             with pytest.raises(SpecError):
                 parse_distortion(spec)
+
+    @pytest.mark.parametrize("spec, kind", [
+        ("minvar:nan", "distortion"), ("maxvar:inf", "distortion"),
+        ("maxminvar:nan", "distortion"), ("minmaxvar:inf", "distortion"),
+        ("pprime:nan", "distortion"), ("pprime:inf", "distortion"),
+        ("avar:nan", "distortion"), ("measure:nan,1", "measure"),
+    ])
+    def test_non_finite_distortion_exits_2(self, capsys, nonmiddle_path, spec, kind):
+        code, err = run_failing(
+            capsys, "evaluate", nonmiddle_path, "--payoff", "X2",
+            "--t", "0", "--distortion", spec,
+        )
+        assert code == 2
+        assert err.startswith(f"error: bad {kind} spec {spec!r}")
+
+    @pytest.mark.parametrize("spec", ["nan,1", "0.5,inf"])
+    def test_non_finite_measure_exits_2(self, capsys, nonmiddle_path, spec):
+        code, err = run_failing(
+            capsys, "dwvar", nonmiddle_path, "--payoff", "X2",
+            "--t", "0", "--measure", spec,
+        )
+        assert code == 2
+        assert err.startswith(f"error: bad measure spec {spec!r}")
 
     def test_measure_grammar(self):
         mu = parse_measure("0.25,0.5;1,0.5")
@@ -222,6 +254,12 @@ class TestRepro:
         assert code2 == 0
         assert rep2["results"]["risk"] == rep["results"]["computed"]["rho_0"]
 
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "tree.json"
+        code, err = run_failing(capsys, "repro", "nonmiddle", "--out", str(out))
+        assert code == 2
+        assert err == f"error: {out}: No such file or directory\n"
+
     def test_pprime_a3(self, capsys, tmp_path):
         out = tmp_path / "tree.json"
         code, rep = run(capsys, "repro", "weakacc-pprime", "--a", "3", "--out", str(out))
@@ -267,6 +305,11 @@ class TestTreeDocument:
                 '"filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]],'
                 ' [[0, 2], [1], [3]]]}'
             )
+
+    def test_iterators_render_like_lists(self):
+        rows = [{"x": 1.5, "y": [1, 2]}, {"x": -0.25, "y": []}]
+        assert dumps_17g({"rows": iter(rows)}) == dumps_17g({"rows": rows})
+        assert dumps_17g({"rows": iter([])}) == dumps_17g({"rows": []})
 
     def test_seventeen_digit_roundtrip(self):
         ce = build_nonmiddle_example()

@@ -56,6 +56,26 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             MinVar(-1)
 
+    @pytest.mark.parametrize("kind", [MinVar, MaxVar, MaxMinVar, MinMaxVar])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, kind, x):
+        with pytest.raises(DomainError, match="finite"):
+            kind(x)
+
+    @pytest.mark.parametrize("support, weights", [
+        ([math.nan], [1.0]),
+        ([0.5, 1.0], [math.nan, 0.5]),
+        ([0.5], [math.inf]),
+    ])
+    def test_non_finite_measure_rejected(self, support, weights):
+        with pytest.raises(DomainError, match="finite"):
+            DistortionMeasure(np.asarray(support), np.asarray(weights))
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_boundary_parameter_rejected(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            pprime_measure(a)
+
 
 class TestRightDerivative:
     def test_identity(self):
