@@ -134,6 +134,10 @@ class Filtration:
             )
         return self._cells[t]
 
+    def level(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms at time t, flat in cell order, and the cell sizes."""
+        return self._atoms[self._check_time(t)], self._sizes[t]
+
     def n_cells(self, t: int) -> int:
         return int(self._sizes[self._check_time(t)].size)
 
@@ -342,19 +346,52 @@ def lift(filtration: Filtration, adapted: AdaptedValue) -> RandomVariable:
     return RandomVariable(adapted.cell_values[filtration.cell_of_atom(adapted.time)])
 
 
+def _level_arrays(level):
+    """One level's atom indices, flat in the listed order, and its cell sizes,
+    or None where the level is not a list of lists of integers that fit an
+    int64."""
+    try:
+        sizes = np.fromiter(map(len, level), dtype=np.intp)
+        atoms = np.fromiter(
+            itertools.chain.from_iterable(level), dtype=np.int64,
+            count=int(sizes.sum()),
+        )
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return atoms, sizes
+
+
+def _lists_each_once(atoms: np.ndarray, n: int) -> bool:
+    """Whether the indices are 0..n-1, each exactly once (n >= 1)."""
+    return bool(
+        atoms.size == n and atoms.min() >= 0 and atoms.max() < n
+        and np.bincount(atoms, minlength=n).max() == 1
+    )
+
+
+def _floats(values):
+    """values as a float array, or None where they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def validate(probabilities, partitions, *value_vectors) -> list[str]:
     """Diagnostic report on raw structural inputs.
 
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
-    constructors would reject can still be diagnosed.
+    constructors would reject can still be diagnosed.  A level whose entries
+    are not integers, or too large for an int64, is not a partition of the
+    atom set.
     """
     report: list[str] = []
-    p = np.asarray(probabilities, dtype=float)
-    n = p.size
-    if p.ndim != 1 or n == 0:
+    p = _floats(probabilities)
+    if p is None or p.ndim != 1 or p.size == 0:
         report.append("probabilities: not a non-empty vector")
         return report
+    n = p.size
     if np.any(~np.isfinite(p)):
         report.append("probabilities: non-finite entries")
     if np.any(p <= 0):
@@ -363,34 +400,38 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     if abs(total - 1.0) > RENORM_WINDOW:
         report.append(f"probabilities: sum {total} outside renormalization window")
 
-    levels = [[tuple(int(i) for i in cell) for cell in lvl] for lvl in partitions]
-    atom_set = set(range(n))
+    levels = [_level_arrays(level) for level in partitions]
     ok_shape = True
     for t, level in enumerate(levels):
-        flat = [i for cell in level for i in cell]
-        if len(flat) != len(set(flat)) or set(flat) != atom_set:
+        if level is None or not _lists_each_once(level[0], n):
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:
-        if len(levels[0]) != 1:
+        if levels[0][1].size != 1:
             report.append("partition t=0: not the trivial single cell")
-        if len(levels[-1]) != n:
+        if levels[-1][1].size != n:
             report.append(f"partition t={len(levels) - 1}: does not separate all atoms")
+        cell_of = np.empty(n, dtype=np.intp)
         for t in range(len(levels) - 1):
-            parent_of = {}
-            for k, cell in enumerate(levels[t]):
-                for i in cell:
-                    parent_of[i] = k
-            for cell in levels[t + 1]:
-                parents = {parent_of[i] for i in cell}
-                if len(parents) > 1:
-                    report.append(
-                        f"refinement t={t + 1}: cell {cell} straddles cells "
-                        f"{sorted(parents)} of t={t}"
-                    )
+            atoms, sizes = levels[t]
+            cell_of[atoms] = np.repeat(np.arange(sizes.size), sizes)
+            # each listed atom of t+1: its cell, and the t-cell holding it
+            atoms, sizes = levels[t + 1]
+            cell = np.repeat(np.arange(sizes.size), sizes)
+            start = np.cumsum(sizes) - sizes
+            up = cell_of[atoms]
+            straddling = np.bincount(cell[up != up[start[cell]]], minlength=sizes.size)
+            for k in np.flatnonzero(straddling).tolist():
+                span = slice(start[k], start[k] + sizes[k])
+                report.append(
+                    f"refinement t={t + 1}: cell {tuple(atoms[span].tolist())} "
+                    f"straddles cells {sorted(set(up[span].tolist()))} of t={t}"
+                )
     for j, vec in enumerate(value_vectors):
-        v = np.asarray(vec, dtype=float)
-        if v.size != n:
+        v = _floats(vec)
+        if v is None:
+            report.append(f"payoff {j}: not a vector of numbers")
+        elif v.size != n:
             report.append(f"payoff {j}: length {v.size} != atom count {n}")
         elif np.any(~np.isfinite(v)):
             report.append(f"payoff {j}: non-finite values")

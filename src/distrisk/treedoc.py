@@ -8,7 +8,9 @@ digits so doubles round-trip exactly and repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -74,31 +76,136 @@ def dumps_17g(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _atoms_text(doc: TreeDocument) -> str:
+    """The atoms array, every atom rendered from one template."""
+    fields = [
+        "        " + json.dumps(str(n)).replace("{", "{{").replace("}", "}}")
+        + ": {:.17g}"
+        for n in doc.payoffs
+    ]
+    payoffs = "{{\n" + ",\n".join(fields) + "\n      }}" if fields else "{{}}"
+    atom = '    {{\n      "probability": {:.17g},\n      "payoffs": ' + payoffs + "\n    }}"
+    columns = [doc.space.probabilities.tolist()]
+    columns += [rv.values.tolist() for rv in doc.payoffs.values()]
+    return "[\n" + ",\n".join(itertools.starmap(atom.format, zip(*columns))) + "\n  ]"
+
+
+def _level_text(atoms: np.ndarray, sizes: np.ndarray) -> str:
+    """One level of the filtration, a cell per line, from its flat atom
+    indices and cell sizes."""
+    ends = np.cumsum(sizes).tolist()
+    indices = list(map(str, atoms.tolist()))
+    cells = [", ".join(indices[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    if not cells:
+        return "[]"
+    return "[\n      [" + "],\n      [".join(cells) + "]\n    ]"
+
+
 def document_to_text(doc: TreeDocument) -> str:
-    names = list(doc.payoffs)
-    atoms = (
-        {
-            "probability": float(doc.space.probabilities[i]),
-            "payoffs": {n: float(doc.payoffs[n].values[i]) for n in names},
-        }
-        for i in range(doc.space.n_atoms)
+    """The document as JSON text, laid out as :func:`dumps_17g` lays out the
+    same object: floats at 17 significant digits, metadata values as
+    strings."""
+    filtration = doc.filtration
+    levels = ",\n".join(
+        "    " + _level_text(*filtration.level(t)) for t in range(filtration.horizon + 1)
     )
-    body = {
-        "schema_version": SCHEMA_VERSION,
-        "atoms": atoms,
-        "filtration": (
-            [list(cell) for cell in level] for level in doc.filtration.partitions
-        ),
-        "metadata": {str(k): str(v) for k, v in doc.metadata.items()},
-    }
-    return dumps_17g(body) + "\n"
+    metadata = {str(k): str(v) for k, v in doc.metadata.items()}
+    return (
+        f'{{\n  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "atoms": {_atoms_text(doc)},\n'
+        f'  "filtration": [\n{levels}\n  ],\n'
+        f'  "metadata": {dumps_17g(metadata, 1)}\n}}\n'
+    )
+
+
+def _number_error(path: str, x) -> str | None:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        return f"{path}: expected a number"
+    try:
+        float(x)
+    except OverflowError:
+        return f"{path}: number out of range"
+    return None
+
+
+def _first_atom_error(atoms: list) -> str | None:
+    """The first problem in the atoms list, atom by atom and field by field
+    (None if there is none)."""
+    names = None
+    for i, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            return f"atoms[{i}]: expected an object"
+        problem = _number_error(f"atoms[{i}].probability", atom.get("probability"))
+        if problem:
+            return problem
+        payoffs = atom.get("payoffs", {})
+        if not isinstance(payoffs, dict):
+            return f"atoms[{i}].payoffs: expected an object"
+        if names is None:
+            names = list(payoffs)
+        elif list(payoffs) != names:
+            return f"atoms[{i}].payoffs: names differ from atoms[0]"
+        for n in names:
+            problem = _number_error(f"atoms[{i}].payoffs[{n!r}]", payoffs[n])
+            if problem:
+                return problem
+    return None
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _atom_columns(atoms: list):
+    """The probabilities and each payoff as float arrays, or None unless every
+    atom is an object of numbers, all with the same payoff names.
+
+    Every check is one C-level pass over a column; json only makes exact
+    dict, list, int, float and bool objects, so comparing types is exact
+    (and excludes bool, which is not an int here).
+    """
+    if set(map(type, atoms)) != {dict}:
+        return None
+    probs = [atom.get("probability") for atom in atoms]
+    payoffs = [atom.get("payoffs", {}) for atom in atoms]
+    if not set(map(type, probs)) <= _NUMBER_TYPES or set(map(type, payoffs)) != {dict}:
+        return None
+    names = tuple(payoffs[0])
+    if set(map(tuple, payoffs)) != {names}:
+        return None
+    columns = {n: [d[n] for d in payoffs] for n in names}
+    if not all(set(map(type, c)) <= _NUMBER_TYPES for c in columns.values()):
+        return None
+    try:
+        return (
+            np.array(probs, dtype=float),
+            {n: np.array(c, dtype=float) for n, c in columns.items()},
+        )
+    except OverflowError:  # an integer literal beyond double range
+        return None
+
+
+def _cells_are_lists_of_ints(level: list) -> bool:
+    return set(map(type, level)) <= {list} and set(
+        map(type, itertools.chain.from_iterable(level))
+    ) <= {int}
 
 
 def document_from_text(text: str) -> TreeDocument:
+    """Parse and check a tree document.
+
+    Each part is checked in bulk first; only when a check fails is the part
+    walked entry by entry, to report the first bad entry by its position.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except ValueError:  # an integer literal longer than the interpreter converts
+        raise ParseError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("top level: expected an object")
     version = raw.get("schema_version")
@@ -107,57 +214,29 @@ def document_from_text(text: str) -> TreeDocument:
     atoms = raw.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise ParseError("atoms: expected a non-empty list")
-    probs = []
-    payoff_names: list[str] | None = None
-    columns: dict[str, list[float]] = {}
-    for i, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise ParseError(f"atoms[{i}]: expected an object")
-        p = atom.get("probability")
-        if not isinstance(p, (int, float)) or isinstance(p, bool):
-            raise ParseError(f"atoms[{i}].probability: expected a number")
-        probs.append(float(p))
-        payoffs = atom.get("payoffs", {})
-        if not isinstance(payoffs, dict):
-            raise ParseError(f"atoms[{i}].payoffs: expected an object")
-        if payoff_names is None:
-            payoff_names = list(payoffs)
-            columns = {n: [] for n in payoff_names}
-        elif list(payoffs) != payoff_names:
-            raise ParseError(f"atoms[{i}].payoffs: names differ from atoms[0]")
-        for n in payoff_names:
-            v = payoffs[n]
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseError(f"atoms[{i}].payoffs[{n!r}]: expected a number")
-            columns[n].append(float(v))
+    columns = _atom_columns(atoms)
+    if columns is None:
+        raise ParseError(_first_atom_error(atoms))
+    probs, values = columns
     levels = raw.get("filtration")
     if not isinstance(levels, list) or not levels:
         raise ParseError("filtration: expected a non-empty list of partitions")
     for t, level in enumerate(levels):
         if not isinstance(level, list):
             raise ParseError(f"filtration[{t}]: expected a list of cells")
-        for k, cell in enumerate(level):
-            if not isinstance(cell, list) or not all(
-                isinstance(j, int) and not isinstance(j, bool) for j in cell
-            ):
-                raise ParseError(
-                    f"filtration[{t}][{k}]: expected a list of atom indices"
-                )
+        if not _cells_are_lists_of_ints(level):
+            k = next(k for k, cell in enumerate(level) if not _cells_are_lists_of_ints([cell]))
+            raise ParseError(f"filtration[{t}][{k}]: expected a list of atom indices")
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object")
-    problems = validate(probs, levels, *columns.values())
+    problems = validate(probs, levels, *values.values())
     if problems:
         raise ParseError("; ".join(problems))
     try:
-        space = ScenarioSpace(np.asarray(probs))
+        space = ScenarioSpace(probs)
         filtration = Filtration(levels)
-        payoffs_rv = {n: RandomVariable(np.asarray(v)) for n, v in columns.items()}
+        payoffs_rv = {n: RandomVariable(v) for n, v in values.items()}
     except DomainError as e:
         raise ParseError(str(e)) from None
-    if filtration.n_atoms != space.n_atoms:
-        raise ParseError("filtration: atom count differs from the atoms list")
-    for n, rv in payoffs_rv.items():
-        if rv.values.size != space.n_atoms:
-            raise ParseError(f"payoff {n!r}: wrong length")
     return TreeDocument(space, filtration, payoffs_rv, dict(metadata))

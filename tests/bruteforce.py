@@ -2,7 +2,9 @@
 
 Evaluators walk the cells one at a time through `conditional_distribution`
 and the `distribution_*` functions; the structural maps and the checkers are
-the straightforward loops over cells and children.  The checkers look up
+the straightforward loops over cells and children; `validate` is the
+set-based structural report and `document_to_text` the writer that renders
+every atom and cell through `dumps_17g`.  The checkers look up
 `choquet` and `dcai` on `distrisk.consistency` at call time, so a test that
 replaces those names feeds the library checker and its oracle the same
 values.
@@ -24,7 +26,8 @@ from distrisk.risk import (
     distribution_quantile_lower,
     distribution_quantile_upper,
 )
-from distrisk.space import conditional_distribution
+from distrisk.space import RENORM_WINDOW, conditional_distribution
+from distrisk.treedoc import SCHEMA_VERSION, dumps_17g
 
 
 def laws(space, filtration, X, t):
@@ -193,3 +196,72 @@ def check_weak_rejection_dcai(space, filtration, X, family, t, s):
     return ConsistencyReport(
         "dcai_weak_rejection", t, s, tuple(float(v) for v in a_t), verdict, witness
     )
+
+
+def validate(probabilities, partitions, *value_vectors):
+    report = []
+    p = np.asarray(probabilities, dtype=float)
+    n = p.size
+    if p.ndim != 1 or n == 0:
+        report.append("probabilities: not a non-empty vector")
+        return report
+    if np.any(~np.isfinite(p)):
+        report.append("probabilities: non-finite entries")
+    if np.any(p <= 0):
+        report.append("probabilities: non-positive entries")
+    total = float(p.sum())
+    if abs(total - 1.0) > RENORM_WINDOW:
+        report.append(f"probabilities: sum {total} outside renormalization window")
+
+    levels = [[tuple(int(i) for i in cell) for cell in lvl] for lvl in partitions]
+    atom_set = set(range(n))
+    ok_shape = True
+    for t, level in enumerate(levels):
+        flat = [i for cell in level for i in cell]
+        if len(flat) != len(set(flat)) or set(flat) != atom_set:
+            report.append(f"partition t={t}: not a partition of the atom set")
+            ok_shape = False
+    if ok_shape and levels:
+        if len(levels[0]) != 1:
+            report.append("partition t=0: not the trivial single cell")
+        if len(levels[-1]) != n:
+            report.append(f"partition t={len(levels) - 1}: does not separate all atoms")
+        for t in range(len(levels) - 1):
+            parent_of = {}
+            for k, cell in enumerate(levels[t]):
+                for i in cell:
+                    parent_of[i] = k
+            for cell in levels[t + 1]:
+                parents = {parent_of[i] for i in cell}
+                if len(parents) > 1:
+                    report.append(
+                        f"refinement t={t + 1}: cell {cell} straddles cells "
+                        f"{sorted(parents)} of t={t}"
+                    )
+    for j, vec in enumerate(value_vectors):
+        v = np.asarray(vec, dtype=float)
+        if v.size != n:
+            report.append(f"payoff {j}: length {v.size} != atom count {n}")
+        elif np.any(~np.isfinite(v)):
+            report.append(f"payoff {j}: non-finite values")
+    return report
+
+
+def document_to_text(doc):
+    names = list(doc.payoffs)
+    atoms = (
+        {
+            "probability": float(doc.space.probabilities[i]),
+            "payoffs": {n: float(doc.payoffs[n].values[i]) for n in names},
+        }
+        for i in range(doc.space.n_atoms)
+    )
+    body = {
+        "schema_version": SCHEMA_VERSION,
+        "atoms": atoms,
+        "filtration": (
+            [list(cell) for cell in level] for level in doc.filtration.partitions
+        ),
+        "metadata": {str(k): str(v) for k, v in doc.metadata.items()},
+    }
+    return dumps_17g(body) + "\n"

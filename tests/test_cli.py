@@ -17,6 +17,7 @@ from distrisk.treedoc import (
 )
 
 SQRT2 = math.sqrt(2.0)
+HUGE = "1" + "0" * 400  # an integer literal beyond double range
 
 
 @pytest.fixture()
@@ -305,6 +306,28 @@ class TestTreeDocument:
                 '"filtration": [[[0, 1, 2, 3]], [[0, 1], [2, 3]],'
                 ' [[0, 2], [1], [3]]]}'
             )
+
+    @pytest.mark.parametrize("probability, payoff, index, message", [
+        (HUGE, "2.0", "1", "atoms[1].probability: number out of range"),
+        ("0.5", "-" + HUGE, "1", "atoms[1].payoffs['X']: number out of range"),
+        ("0.5", "2.0", str(2 ** 64), "partition t=1: not a partition of the atom set"),
+    ], ids=["probability", "payoff", "cell-index"])
+    def test_out_of_range_literal_exits_2(
+        self, capsys, tmp_path, probability, payoff, index, message
+    ):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"schema_version": 1, "atoms": ['
+            '{"probability": 0.5, "payoffs": {"X": 1.0}},'
+            f'{{"probability": {probability}, "payoffs": {{"X": {payoff}}}}}],'
+            f'"filtration": [[[0, 1]], [[0], [{index}]]]}}'
+        )
+        code, err = run_failing(
+            capsys, "evaluate", str(path), "--payoff", "X",
+            "--t", "0", "--distortion", "identity",
+        )
+        assert code == 2
+        assert err == f"error: {path}: {message}\n"
 
     def test_iterators_render_like_lists(self):
         rows = [{"x": 1.5, "y": [1, 2]}, {"x": -0.25, "y": []}]
