@@ -128,6 +128,13 @@ def _le_extended(a, b, tol: float) -> bool:
     return a <= b + tol
 
 
+def _same_index(u, v, tol: float) -> bool:
+    """Equal extended indices: both infinite, or both finite within tol."""
+    if math.isinf(u) or math.isinf(v):
+        return math.isinf(u) and math.isinf(v)
+    return abs(u - v) <= tol
+
+
 def dcai_axiom_check(
     space: ScenarioSpace,
     filtration: Filtration,
@@ -162,11 +169,7 @@ def dcai_axiom_check(
         probe_family=False,
     )
     scale_invariant_ok = all(
-        (math.isinf(u) and math.isinf(v)) or abs(u - v) <= index_tol
-        for u, v in zip(a_x.cell_values, a_scaled.cell_values)
-        if not (math.isinf(u) ^ math.isinf(v))
-    ) and not any(
-        math.isinf(u) ^ math.isinf(v)
+        _same_index(u, v, index_tol)
         for u, v in zip(a_x.cell_values, a_scaled.cell_values)
     )
     if not scale_invariant_ok:
@@ -174,10 +177,7 @@ def dcai_axiom_check(
 
     masked = RandomVariable(np.where(cell_of == 0, X.values, 0.0))
     a_masked = dcai(space, filtration, masked, t, family, probe_family=False)
-    u, v = a_x.cell_values[0], a_masked.cell_values[0]
-    local_ok = (math.isinf(u) and math.isinf(v)) or (
-        not math.isinf(u) and not math.isinf(v) and abs(u - v) <= index_tol
-    )
+    local_ok = _same_index(a_x.cell_values[0], a_masked.cell_values[0], index_tol)
     if not local_ok:
         failures.append("locality: masking other cells changed the index on cell 0")
 

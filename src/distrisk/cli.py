@@ -37,11 +37,12 @@ from .distortion import (
 from .space import DomainError
 from .treedoc import ParseError, TreeDocument, document_from_text, document_to_text, dumps_17g
 
-_FAMILIES = {
-    "minvar": minvar_family,
-    "maxvar": maxvar_family,
-    "maxminvar": maxminvar_family,
-    "minmaxvar": minmaxvar_family,
+_FAMILIES = {f().name: f for f in (
+    minvar_family, maxvar_family, maxminvar_family, minmaxvar_family,
+)}
+_MAKERS = {
+    "pprime": pprime_distortion,
+    **{cls.kind: cls for cls in (ProportionalHazard, MinVar, MaxVar, MaxMinVar, MinMaxVar)},
 }
 
 
@@ -74,24 +75,16 @@ def parse_distortion(spec: str):
     Grammar: identity | prop_hazard:g | minvar:x | maxvar:x | maxminvar:x |
     minmaxvar:x | pprime:a | avar:alpha | measure:s1,w1;s2,w2;...
     """
-    if spec == "identity":
+    if spec == Identity.kind:
         return Identity()
     if spec.startswith("measure:"):
         return psi_from_measure(parse_measure(spec), label=spec)
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise SpecError(f"bad distortion spec {spec!r}")
-    makers = {
-        "prop_hazard": ProportionalHazard,
-        "minvar": MinVar,
-        "maxvar": MaxVar,
-        "maxminvar": MaxMinVar,
-        "minmaxvar": MinMaxVar,
-        "pprime": pprime_distortion,
-    }
     try:
-        if kind in makers:
-            return makers[kind](float(arg))
+        if kind in _MAKERS:
+            return _MAKERS[kind](float(arg))
         if kind == "avar":
             alpha = float(arg)
             return psi_from_measure(dirac(alpha), label=spec)
@@ -147,135 +140,70 @@ def _base_report(command: str, args: dict, digest: str) -> dict:
     }
 
 
-def _cmd_evaluate(ns) -> int:
+# The one-payoff commands: name, help, own options in report order, and the
+# results.  `run(evaluator, param)` applies an evaluator to the command's
+# payoff at --t; each row names its evaluator (`risk.choquet`) and parses its
+# spec at call time, so that wrappers installed on those modules see the call
+# and a bad spec is reported before an unknown payoff.
+_ALPHA = ("--alpha", {"type": float, "required": True})
+_ONE_PAYOFF_COMMANDS = (
+    ("evaluate", "distortion risk per cell",
+     [("--distortion", {"required": True, "help": "e.g. minvar:2, avar:0.5"})],
+     lambda run, ns: {"risk": _cell_list(run(risk.choquet, parse_distortion(ns.distortion)))}),
+    ("quantile", "conditional quantile per cell",
+     [_ALPHA, ("--side", {"choices": ("upper", "lower"), "default": "upper"})],
+     lambda run, ns: {"quantile": _cell_list(run(
+         risk.quantile_upper if ns.side == "upper" else risk.quantile_lower, ns.alpha))}),
+    ("var", "value at risk per cell", [_ALPHA],
+     lambda run, ns: {"var": _cell_list(run(risk.var, ns.alpha))}),
+    ("avar", "average value at risk per cell (both forms)", [_ALPHA],
+     lambda run, ns: {"avar": _cell_list(run(risk.avar, ns.alpha)),
+                      "avar_dual": _cell_list(run(risk.avar_robust, ns.alpha))}),
+    ("dwvar", "weighted value at risk per cell",
+     [("--measure", {"required": True, "help": "s1,w1;s2,w2;..."})],
+     lambda run, ns: {"dwvar": _cell_list(run(risk.dwvar, parse_measure(ns.measure)))}),
+    ("dcai", "acceptability index per cell",
+     [("--family", {"required": True, "help": "family:minvar etc."})],
+     lambda run, ns: {"index": _index_list(run(acceptability.dcai, parse_family(ns.family)))}),
+)
+
+
+def _cmd_one_payoff(ns) -> int:
     doc, digest = _load(ns.tree)
-    psi = parse_distortion(ns.distortion)
-    out = risk.choquet(doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, psi)
-    report = _base_report(
-        "evaluate",
-        {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t, "distortion": ns.distortion},
-        digest,
-    )
-    report["results"] = {"risk": _cell_list(out)}
+
+    def run(evaluator, param):
+        return evaluator(doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, param)
+
+    arguments = {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t}
+    arguments.update((dest, getattr(ns, dest)) for dest in ns.own)
+    report = _base_report(ns.cmd, arguments, digest)
+    report["results"] = ns.results(run, ns)
     _emit(report)
     return 0
 
 
-def _cmd_quantile(ns) -> int:
-    doc, digest = _load(ns.tree)
-    fn = risk.quantile_upper if ns.side == "upper" else risk.quantile_lower
-    out = fn(doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, ns.alpha)
-    report = _base_report(
-        "quantile",
-        {
-            "tree": ns.tree, "payoff": ns.payoff, "t": ns.t,
-            "alpha": ns.alpha, "side": ns.side,
-        },
-        digest,
-    )
-    report["results"] = {"quantile": _cell_list(out)}
-    _emit(report)
-    return 0
-
-
-def _cmd_var(ns) -> int:
-    doc, digest = _load(ns.tree)
-    out = risk.var(doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, ns.alpha)
-    report = _base_report(
-        "var",
-        {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t, "alpha": ns.alpha},
-        digest,
-    )
-    report["results"] = {"var": _cell_list(out)}
-    _emit(report)
-    return 0
-
-
-def _cmd_avar(ns) -> int:
-    doc, digest = _load(ns.tree)
-    X = doc.payoff(ns.payoff)
-    primal = risk.avar(doc.space, doc.filtration, X, ns.t, ns.alpha)
-    dual = risk.avar_robust(doc.space, doc.filtration, X, ns.t, ns.alpha)
-    report = _base_report(
-        "avar",
-        {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t, "alpha": ns.alpha},
-        digest,
-    )
-    report["results"] = {
-        "avar": _cell_list(primal),
-        "avar_dual": _cell_list(dual),
-    }
-    _emit(report)
-    return 0
-
-
-def _cmd_dwvar(ns) -> int:
-    doc, digest = _load(ns.tree)
-    mu = parse_measure(ns.measure)
-    out = risk.dwvar(doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, mu)
-    report = _base_report(
-        "dwvar",
-        {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t, "measure": ns.measure},
-        digest,
-    )
-    report["results"] = {"dwvar": _cell_list(out)}
-    _emit(report)
-    return 0
-
-
-def _cmd_dcai(ns) -> int:
-    doc, digest = _load(ns.tree)
-    family = parse_family(ns.family)
-    out = acceptability.dcai(
-        doc.space, doc.filtration, doc.payoff(ns.payoff), ns.t, family
-    )
-    report = _base_report(
-        "dcai",
-        {"tree": ns.tree, "payoff": ns.payoff, "t": ns.t, "family": ns.family},
-        digest,
-    )
-    report["results"] = {"index": _index_list(out)}
-    _emit(report)
-    return 0
-
-
-_CHECK_DEFAULT_EXPECT = {
-    "submartingale": "holds",
-    "super-strict": "holds",
-    "weak-acceptance": "violated",
-    "middle-rejection": "violated",
-    "dcai-weak-rejection": "holds",
+# property: default expectation and the checker, looked up at call time
+_CHECKS = {
+    "submartingale": ("holds", lambda law, ns, s: consistency.check_submartingale(
+        *law, parse_distortion(ns.distortion), ns.t, s)),
+    "super-strict": ("holds", lambda law, ns, s: consistency.check_super_strict_failure(
+        *law, parse_distortion(ns.distortion), ns.t)),
+    "weak-acceptance": ("violated", lambda law, ns, s: consistency.check_weak_acceptance(
+        *law, parse_distortion(ns.distortion), ns.t, s)),
+    "middle-rejection": ("violated", lambda law, ns, s: consistency.middle_rejection_probe(
+        *law, parse_distortion(ns.distortion), ns.t, s)),
+    "dcai-weak-rejection": ("holds", lambda law, ns, s: consistency.check_weak_rejection_dcai(
+        *law, parse_family(ns.family or "family:minvar"), ns.t, s)),
 }
 
 
 def _cmd_check(ns) -> int:
     doc, digest = _load(ns.tree)
-    X = doc.payoff(ns.payoff)
+    law = (doc.space, doc.filtration, doc.payoff(ns.payoff))
     s = ns.s if ns.s is not None else doc.filtration.horizon
-    if ns.property == "dcai-weak-rejection":
-        family = parse_family(ns.family or "family:minvar")
-        rep = consistency.check_weak_rejection_dcai(
-            doc.space, doc.filtration, X, family, ns.t, s
-        )
-    else:
-        psi = parse_distortion(ns.distortion)
-        if ns.property == "submartingale":
-            rep = consistency.check_submartingale(
-                doc.space, doc.filtration, X, psi, ns.t, s
-            )
-        elif ns.property == "super-strict":
-            rep = consistency.check_super_strict_failure(
-                doc.space, doc.filtration, X, psi, ns.t
-            )
-        elif ns.property == "weak-acceptance":
-            rep = consistency.check_weak_acceptance(
-                doc.space, doc.filtration, X, psi, ns.t, s
-            )
-        else:
-            rep = consistency.middle_rejection_probe(
-                doc.space, doc.filtration, X, psi, ns.t, s
-            )
-    expected = ns.expect or _CHECK_DEFAULT_EXPECT[ns.property]
+    default_expect, checker = _CHECKS[ns.property]
+    rep = checker(law, ns, s)
+    expected = ns.expect or default_expect
     report = _base_report(
         "check",
         {
@@ -294,33 +222,26 @@ def _cmd_check(ns) -> int:
     return 0 if rep.verdict == expected else 1
 
 
-def _expected_entries(ce, sources: dict) -> list[dict]:
-    out = []
-    for label, target in ce.expected.items():
-        out.append({
-            "label": label,
-            "values": [float(v) for v in np.atleast_1d(target)],
-            "source": sources.get(label, "analytic"),
-            "tolerance": ce.tolerance,
-        })
-    return out
+def _needs(ns, option: str):
+    value = getattr(ns, option)
+    if value is None:
+        raise SpecError(f"{ns.name} needs --{option}")
+    return value
+
+
+# name: source of the expected values and the tree's build function, looked up at call time
+_REPROS = {
+    "nonmiddle": ("analytic", lambda ns: consistency.build_nonmiddle_example()),
+    "weakacc-pprime": (
+        "analytic", lambda ns: consistency.build_weakacc_pprime(_needs(ns, "a"))),
+    "weakacc-continuous": ("continuum_limit", lambda ns: consistency.build_weakacc_continuous(
+        parse_measure(_needs(ns, "mu")), ns.n)),
+}
 
 
 def _cmd_repro(ns) -> int:
-    if ns.name == "nonmiddle":
-        ce = consistency.build_nonmiddle_example()
-        sources = {"rho_1": "analytic", "rho_0": "analytic"}
-    elif ns.name == "weakacc-pprime":
-        if ns.a is None:
-            raise SpecError("weakacc-pprime needs --a")
-        ce = consistency.build_weakacc_pprime(ns.a)
-        sources = {"rho_1": "analytic", "rho_0": "analytic"}
-    else:
-        if ns.mu is None:
-            raise SpecError("weakacc-continuous needs --mu")
-        mu = parse_measure(ns.mu)
-        ce = consistency.build_weakacc_continuous(mu, ns.n)
-        sources = {"rho_1": "continuum_limit", "rho_0": "continuum_limit"}
+    source, build = _REPROS[ns.name]
+    ce = build(ns)
     doc = TreeDocument(
         ce.space, ce.filtration, {"X": ce.X}, {"name": ce.name},
     )
@@ -346,7 +267,15 @@ def _cmd_repro(ns) -> int:
     )
     report["results"] = {
         "distortion": ce.psi.label,
-        "expected": _expected_entries(ce, sources),
+        "expected": [
+            {
+                "label": label,
+                "values": [float(v) for v in np.atleast_1d(target)],
+                "source": source,
+                "tolerance": ce.tolerance,
+            }
+            for label, target in ce.expected.items()
+        ],
         "computed": computed,
         "max_error": max_err,
         "match": bool(max_err <= ce.tolerance),
@@ -367,43 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--payoff", required=True, help="payoff name in the document")
         p.add_argument("--t", type=int, required=True, help="evaluation time")
 
-    p = sub.add_parser("evaluate", help="distortion risk per cell")
-    tree_args(p)
-    p.add_argument("--distortion", required=True, help="e.g. minvar:2, avar:0.5")
-    p.set_defaults(fn=_cmd_evaluate)
-
-    p = sub.add_parser("quantile", help="conditional quantile per cell")
-    tree_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--side", choices=("upper", "lower"), default="upper")
-    p.set_defaults(fn=_cmd_quantile)
-
-    p = sub.add_parser("var", help="value at risk per cell")
-    tree_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(fn=_cmd_var)
-
-    p = sub.add_parser("avar", help="average value at risk per cell (both forms)")
-    tree_args(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(fn=_cmd_avar)
-
-    p = sub.add_parser("dwvar", help="weighted value at risk per cell")
-    tree_args(p)
-    p.add_argument("--measure", required=True, help="s1,w1;s2,w2;...")
-    p.set_defaults(fn=_cmd_dwvar)
-
-    p = sub.add_parser("dcai", help="acceptability index per cell")
-    tree_args(p)
-    p.add_argument("--family", required=True, help="family:minvar etc.")
-    p.set_defaults(fn=_cmd_dcai)
+    for name, help, options, results in _ONE_PAYOFF_COMMANDS:
+        p = sub.add_parser(name, help=help)
+        tree_args(p)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(
+            fn=_cmd_one_payoff, results=results,
+            own=tuple(flag.lstrip("-") for flag, _ in options),
+        )
 
     p = sub.add_parser("check", help="time-consistency check")
     tree_args(p)
     p.add_argument(
         "--property",
         required=True,
-        choices=tuple(_CHECK_DEFAULT_EXPECT),
+        choices=tuple(_CHECKS),
     )
     p.add_argument("--distortion", default="identity")
     p.add_argument("--family", default=None)
@@ -412,9 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("repro", help="rebuild a bundled counterexample tree")
-    p.add_argument(
-        "name", choices=("nonmiddle", "weakacc-pprime", "weakacc-continuous")
-    )
+    p.add_argument("name", choices=tuple(_REPROS))
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--mu", default=None, help="measure spec s1,w1;s2,w2;...")
     p.add_argument("--n", type=int, default=10000)

@@ -273,6 +273,8 @@ def build_weakacc_pprime(a: float) -> Counterexample:
     a = float(a)
     if a <= 1.0:
         raise DomainError("need a > 1")
+    if not math.isfinite(a):
+        raise DomainError(f"parameter a must be finite, got {a}")
     q = 1.0 / (4.0 * (a + 1.0))
     space = ScenarioSpace(np.asarray([0.5 - q, 0.5 - q, q, q]))
     X = RandomVariable(np.asarray([2.0, 1.0, -(a + 2.0) / a, -(2.0 * a + 4.0) / a]))
@@ -342,6 +344,8 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     n = int(n_atoms)
     if n < 4:
         raise DomainError("need at least 4 atoms")
+    if n > np.iinfo(np.int32).max:  # Filtration indexes atoms with int32
+        raise DomainError(f"need at most {np.iinfo(np.int32).max} atoms")
     psi = psi_from_measure(mu)
     m = m_mu(mu)
 

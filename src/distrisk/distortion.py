@@ -6,6 +6,15 @@ evaluators in :mod:`distrisk.risk`.  Concave distortions are in one-to-one
 correspondence with probability measures on (0,1]; both directions of that
 correspondence are implemented here, together with the parametric families
 used to build acceptability indices.
+
+Each built-in kind is a :class:`Distortion` subclass that holds its spec
+name ``kind`` (``minvar`` in the spec ``minvar:2``; the CLI grammar and the
+family names read it from there) and its closed form as the pair of hooks
+``_psi(y)`` and ``_dpsi(z)``.  The base class owns the domain checks,
+the identity member's exact unit slope, the infinite slope at 0 and the
+scalar unwrapping; the members MinVar, MaxVar, MaxMinVar and MinMaxVar of
+the Cherny-Madan families also share their parameter check, label and
+identity at x = 0.
 """
 
 from __future__ import annotations
@@ -26,26 +35,38 @@ def _check_unit(y, what: str = "argument") -> np.ndarray:
     return arr
 
 
-def _check_parameter(x) -> float:
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError("family parameter must be a finite non-negative number")
-    return x
-
-
 class Distortion:
-    """Base class: evaluable on [0,1] with a right derivative on [0,1)."""
+    """Base class: evaluable on [0,1] with a right derivative on [0,1).
 
+    A subclass supplies its closed form as two hooks on checked float
+    arrays, ``_psi(y)`` for the map and ``_dpsi(z)`` for its right
+    derivative; the base checks the domains, returns exact ones for an
+    identity member and unwraps 0-d results.
+    """
+
+    #: spec name of a built-in kind (``minvar`` in ``minvar:2``), also its family's name
+    kind: str
     label = "distortion"
     #: concave and continuous, hence usable in the Choquet evaluator
     regular = True
+    #: the right derivative diverges at 0, whatever ``_dpsi`` gives there
+    infinite_slope_at_zero = False
 
     def __call__(self, y):
-        raise NotImplementedError
+        return self._psi(_check_unit(y))
 
     def right_derivative(self, z):
         """Right derivative at z in [0,1); math.inf where it diverges."""
-        raise NotImplementedError
+        z = np.asarray(z, dtype=float)
+        if np.any(z < 0) or np.any(z >= 1):
+            raise DomainError("right derivative needs z in [0, 1)")
+        if self.is_identity():
+            return np.ones_like(z) if z.ndim else 1.0
+        with np.errstate(divide="ignore"):
+            d = self._dpsi(z)
+        if self.infinite_slope_at_zero:
+            d = np.where(z > 0, d, math.inf)
+        return d if d.ndim else float(d)
 
     def derivative_at_one_minus(self) -> float:
         """Left limit of the derivative at 1 (the mass the measure puts at 1)."""
@@ -60,16 +81,10 @@ class Distortion:
 
 
 class Identity(Distortion):
-    label = "identity"
+    kind = label = "identity"
 
-    def __call__(self, y):
-        return _check_unit(y)
-
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
-        return np.ones_like(z) if z.ndim else 1.0
+    def _psi(self, y):
+        return y
 
     def derivative_at_one_minus(self) -> float:
         return 1.0
@@ -81,25 +96,21 @@ class Identity(Distortion):
 class ProportionalHazard(Distortion):
     """psi(y) = y**gamma with gamma in (0, 1]."""
 
+    kind = "prop_hazard"
+    infinite_slope_at_zero = True
+
     def __init__(self, gamma: float):
         gamma = float(gamma)
         if not 0.0 < gamma <= 1.0:
             raise DomainError("proportional-hazard exponent must be in (0, 1]")
         self.gamma = gamma
-        self.label = f"prop_hazard:{gamma:g}"
+        self.label = f"{self.kind}:{gamma:g}"
 
-    def __call__(self, y):
-        return _check_unit(y) ** self.gamma
+    def _psi(self, y):
+        return y ** self.gamma
 
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
-        if self.gamma == 1.0:
-            return np.ones_like(z) if z.ndim else 1.0
-        with np.errstate(divide="ignore"):
-            d = np.where(z > 0, self.gamma * z ** (self.gamma - 1.0), math.inf)
-        return d if d.ndim else float(d)
+    def _dpsi(self, z):
+        return self.gamma * z ** (self.gamma - 1.0)
 
     def derivative_at_one_minus(self) -> float:
         return self.gamma
@@ -108,24 +119,17 @@ class ProportionalHazard(Distortion):
         return self.gamma == 1.0
 
 
-class MinVar(Distortion):
-    """psi(y) = 1 - (1 - y)**(x + 1), x >= 0."""
+class _Parametric(Distortion):
+    """Member x >= 0 of one of the Cherny-Madan families; x = 0 is the identity."""
+
+    infinite_slope_at_zero = True
 
     def __init__(self, x: float):
-        x = _check_parameter(x)
+        x = float(x)
+        if not 0.0 <= x < math.inf:
+            raise DomainError("family parameter must be a finite non-negative number")
         self.x = x
-        self.label = f"minvar:{x:g}"
-
-    def __call__(self, y):
-        y = _check_unit(y)
-        return 1.0 - (1.0 - y) ** (self.x + 1.0)
-
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
-        d = (self.x + 1.0) * (1.0 - z) ** self.x
-        return d if d.ndim else float(d)
+        self.label = f"{self.kind}:{x:g}"
 
     def derivative_at_one_minus(self) -> float:
         return 1.0 if self.x == 0 else 0.0
@@ -134,105 +138,62 @@ class MinVar(Distortion):
         return self.x == 0.0
 
 
-class MaxVar(Distortion):
+class MinVar(_Parametric):
+    """psi(y) = 1 - (1 - y)**(x + 1), x >= 0."""
+
+    kind = "minvar"
+    infinite_slope_at_zero = False
+
+    def _psi(self, y):
+        return 1.0 - (1.0 - y) ** (self.x + 1.0)
+
+    def _dpsi(self, z):
+        return (self.x + 1.0) * (1.0 - z) ** self.x
+
+
+class MaxVar(_Parametric):
     """psi(y) = y**(1/(x + 1)), x >= 0."""
 
-    def __init__(self, x: float):
-        x = _check_parameter(x)
-        self.x = x
-        self.label = f"maxvar:{x:g}"
+    kind = "maxvar"
 
-    def __call__(self, y):
-        y = _check_unit(y)
+    def _psi(self, y):
         return y ** (1.0 / (self.x + 1.0))
 
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
+    def _dpsi(self, z):
         e = 1.0 / (self.x + 1.0)
-        if self.x == 0.0:
-            return np.ones_like(z) if z.ndim else 1.0
-        with np.errstate(divide="ignore"):
-            d = np.where(z > 0, e * z ** (e - 1.0), math.inf)
-        return d if d.ndim else float(d)
+        return e * z ** (e - 1.0)
 
     def derivative_at_one_minus(self) -> float:
         return 1.0 / (self.x + 1.0)
 
-    def is_identity(self) -> bool:
-        return self.x == 0.0
 
-
-class MaxMinVar(Distortion):
+class MaxMinVar(_Parametric):
     """psi(y) = (1 - (1 - y)**(x + 1))**(1/(x + 1)), x >= 0."""
 
-    def __init__(self, x: float):
-        x = _check_parameter(x)
-        self.x = x
-        self.label = f"maxminvar:{x:g}"
+    kind = "maxminvar"
 
-    def __call__(self, y):
-        y = _check_unit(y)
+    def _psi(self, y):
         k = self.x + 1.0
         return (1.0 - (1.0 - y) ** k) ** (1.0 / k)
 
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
+    def _dpsi(self, z):
         k = self.x + 1.0
-        if self.x == 0.0:
-            return np.ones_like(z) if z.ndim else 1.0
         inner = 1.0 - (1.0 - z) ** k
-        with np.errstate(divide="ignore"):
-            d = np.where(
-                z > 0,
-                (1.0 / k) * inner ** (1.0 / k - 1.0) * k * (1.0 - z) ** (k - 1.0),
-                math.inf,
-            )
-        return d if d.ndim else float(d)
-
-    def derivative_at_one_minus(self) -> float:
-        return 1.0 if self.x == 0 else 0.0
-
-    def is_identity(self) -> bool:
-        return self.x == 0.0
+        return (1.0 / k) * inner ** (1.0 / k - 1.0) * k * (1.0 - z) ** (k - 1.0)
 
 
-class MinMaxVar(Distortion):
+class MinMaxVar(_Parametric):
     """psi(y) = 1 - (1 - y**(1/(x + 1)))**(x + 1), x >= 0."""
 
-    def __init__(self, x: float):
-        x = _check_parameter(x)
-        self.x = x
-        self.label = f"minmaxvar:{x:g}"
+    kind = "minmaxvar"
 
-    def __call__(self, y):
-        y = _check_unit(y)
+    def _psi(self, y):
         k = self.x + 1.0
         return 1.0 - (1.0 - y ** (1.0 / k)) ** k
 
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
+    def _dpsi(self, z):
         k = self.x + 1.0
-        if self.x == 0.0:
-            return np.ones_like(z) if z.ndim else 1.0
-        with np.errstate(divide="ignore"):
-            d = np.where(
-                z > 0,
-                (1.0 - z ** (1.0 / k)) ** (k - 1.0) * z ** (1.0 / k - 1.0),
-                math.inf,
-            )
-        return d if d.ndim else float(d)
-
-    def derivative_at_one_minus(self) -> float:
-        return 1.0 if self.x == 0 else 0.0
-
-    def is_identity(self) -> bool:
-        return self.x == 0.0
+        return (1.0 - z ** (1.0 / k)) ** (k - 1.0) * z ** (1.0 / k - 1.0)
 
 
 class PiecewiseLinear(Distortion):
@@ -255,6 +216,8 @@ class PiecewiseLinear(Distortion):
             raise DomainError("a distortion must map 0 to 0 and 1 to 1")
         if np.any(np.diff(v) < 0):
             raise DomainError("a distortion must be non-decreasing")
+        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(v))):
+            raise DomainError("knots must be finite numbers")
         self.knots_y = y
         self.knots_v = v
         self.slopes = np.diff(v) / np.diff(y)
@@ -265,19 +228,13 @@ class PiecewiseLinear(Distortion):
     def regular(self) -> bool:  # type: ignore[override]
         return self.concave
 
-    def __call__(self, y):
-        y = _check_unit(y)
+    def _psi(self, y):
         return np.interp(y, self.knots_y, self.knots_v)
 
-    def right_derivative(self, z):
-        z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
-            raise DomainError("right derivative needs z in [0, 1)")
+    def _dpsi(self, z):
         # segment to the right of z: first knot strictly above z bounds it
         seg = np.searchsorted(self.knots_y, z, side="right") - 1
-        seg = np.clip(seg, 0, self.slopes.size - 1)
-        d = self.slopes[seg]
-        return d if d.ndim else float(d)
+        return self.slopes[np.clip(seg, 0, self.slopes.size - 1)]
 
     def derivative_at_one_minus(self) -> float:
         return float(self.slopes[-1])
@@ -482,19 +439,19 @@ class DistortionFamily:
 
 
 def minvar_family() -> DistortionFamily:
-    return DistortionFamily(MinVar, name="minvar")
+    return DistortionFamily(MinVar, name=MinVar.kind)
 
 
 def maxvar_family() -> DistortionFamily:
-    return DistortionFamily(MaxVar, name="maxvar")
+    return DistortionFamily(MaxVar, name=MaxVar.kind)
 
 
 def maxminvar_family() -> DistortionFamily:
-    return DistortionFamily(MaxMinVar, name="maxminvar")
+    return DistortionFamily(MaxMinVar, name=MaxMinVar.kind)
 
 
 def minmaxvar_family() -> DistortionFamily:
-    return DistortionFamily(MinMaxVar, name="minmaxvar")
+    return DistortionFamily(MinMaxVar, name=MinMaxVar.kind)
 
 
 @dataclass(frozen=True)

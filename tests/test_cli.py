@@ -261,6 +261,25 @@ class TestRepro:
         assert code == 2
         assert err == f"error: {out}: No such file or directory\n"
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_a_exits_2(self, capsys, tmp_path, a):
+        out = tmp_path / "tree.json"
+        code, err = run_failing(capsys, "repro", "weakacc-pprime", "--a", a, "--out", str(out))
+        assert code == 2
+        assert err == f"error: parameter a must be finite, got {a}\n"
+        assert not out.exists()
+
+    def test_atom_count_beyond_int32_exits_2(self, capsys, tmp_path):
+        # rejected before anything is allocated
+        out = tmp_path / "tree.json"
+        code, err = run_failing(
+            capsys, "repro", "weakacc-continuous", "--mu", "0.5,1",
+            "--n", "100000000000000000000", "--out", str(out),
+        )
+        assert code == 2
+        assert err == "error: need at most 2147483647 atoms\n"
+        assert not out.exists()
+
     def test_pprime_a3(self, capsys, tmp_path):
         out = tmp_path / "tree.json"
         code, rep = run(capsys, "repro", "weakacc-pprime", "--a", "3", "--out", str(out))

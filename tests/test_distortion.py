@@ -76,6 +76,14 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="finite"):
             pprime_measure(a)
 
+    @pytest.mark.parametrize("knots_y, knots_v", [
+        ([0.0, math.nan, 1.0], [0.0, 0.5, 1.0]),
+        ([0.0, 0.5, 1.0], [0.0, math.nan, 1.0]),
+    ])
+    def test_nan_knots_rejected(self, knots_y, knots_v):
+        with pytest.raises(DomainError, match="knots must be finite"):
+            PiecewiseLinear(knots_y, knots_v)
+
 
 class TestRightDerivative:
     def test_identity(self):
