@@ -22,10 +22,7 @@ from .space import (
     ScenarioSpace,
     conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
 )
-
-X_MIN_DEFAULT = 1e-9
-X_MAX_DEFAULT = 1e6
-BISECT_TOL_DEFAULT = 1e-9
+from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
 
 
 @dataclass(frozen=True)
@@ -49,28 +46,21 @@ def _rho_at(support, F, family, x: float) -> float:
     return -float(support @ np.diff(psi_F, prepend=0.0))
 
 
-def _cell_index(
-    support,
-    F,
-    family: DistortionFamily,
-    x_min: float,
-    x_max: float,
-    tol: float,
-) -> float:
-    if _rho_at(support, F, family, x_min) > 0.0:
+def _cell_index(support, F, family: DistortionFamily) -> float:
+    if _rho_at(support, F, family, X_MIN) > 0.0:
         return 0.0
-    lo = x_min
-    hi = 2.0 * x_min
-    while hi <= x_max:
+    lo = X_MIN
+    hi = 2.0 * X_MIN
+    while hi <= X_MAX:
         if _rho_at(support, F, family, hi) > 0.0:
             break
         lo = hi
         hi *= 2.0
     else:
-        if _rho_at(support, F, family, x_max) <= 0.0:
+        if _rho_at(support, F, family, X_MAX) <= 0.0:
             return math.inf
-        lo, hi = lo, x_max
-    while hi - lo > tol:
+        hi = X_MAX
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if _rho_at(support, F, family, mid) <= 0.0:
             lo = mid
@@ -85,16 +75,14 @@ def dcai(
     X: RandomVariable,
     t: int,
     family: DistortionFamily,
-    x_min: float = X_MIN_DEFAULT,
-    x_max: float = X_MAX_DEFAULT,
-    tol: float = BISECT_TOL_DEFAULT,
     probe_family: bool = True,
 ) -> AcceptabilityResult:
     """Largest family parameter with non-positive risk, per cell.
 
-    Returns 0 when even the smallest probe parameter is rejected, math.inf
-    when the risk stays non-positive up to the bracket cap, and otherwise the
-    bisected boundary of the acceptance interval to width tol.
+    Returns 0 when even the smallest probe parameter ``X_MIN`` is rejected,
+    math.inf when the risk stays non-positive up to the bracket cap
+    ``X_MAX``, and otherwise the bisected boundary of the acceptance interval
+    to width ``BISECT_TOL``.
     """
     if probe_family:
         report = check_family_monotone(family)
@@ -102,7 +90,7 @@ def dcai(
             raise DomainError("family is not increasing on the probe grid")
     laws = LevelLaws(space, filtration, X, t)
     return AcceptabilityResult(t, tuple(
-        _cell_index(laws.support[a:b], laws.F[a:b], family, x_min, x_max, tol)
+        _cell_index(laws.support[a:b], laws.F[a:b], family)
         for a, b in zip(laws.start, laws.stop)
     ))
 
@@ -120,19 +108,19 @@ class AxiomReport:
         return not self.failures
 
 
-def _le_extended(a, b, tol: float) -> bool:
+def _le_extended(a, b) -> bool:
     if math.isinf(a):
         return math.isinf(b)
     if math.isinf(b):
         return True
-    return a <= b + tol
+    return a <= b + INDEX_TOL
 
 
-def _same_index(u, v, tol: float) -> bool:
-    """Equal extended indices: both infinite, or both finite within tol."""
+def _same_index(u, v) -> bool:
+    """Equal extended indices: both infinite, or both finite within INDEX_TOL."""
     if math.isinf(u) or math.isinf(v):
         return math.isinf(u) and math.isinf(v)
-    return abs(u - v) <= tol
+    return abs(u - v) <= INDEX_TOL
 
 
 def dcai_axiom_check(
@@ -142,7 +130,6 @@ def dcai_axiom_check(
     Y: RandomVariable,
     t: int,
     family: DistortionFamily,
-    index_tol: float = 1e-6,
 ) -> AxiomReport:
     """Spot-check the index axioms on a concrete pair of payoffs.
 
@@ -157,7 +144,7 @@ def dcai_axiom_check(
     monotone_ok = True
     if np.all(X.values <= Y.values):
         for vx, vy in zip(a_x.cell_values, a_y.cell_values):
-            if not _le_extended(vx, vy, index_tol):
+            if not _le_extended(vx, vy):
                 monotone_ok = False
     if not monotone_ok:
         failures.append("monotonicity: X <= Y but index decreased")
@@ -169,7 +156,7 @@ def dcai_axiom_check(
         probe_family=False,
     )
     scale_invariant_ok = all(
-        _same_index(u, v, index_tol)
+        _same_index(u, v)
         for u, v in zip(a_x.cell_values, a_scaled.cell_values)
     )
     if not scale_invariant_ok:
@@ -177,7 +164,7 @@ def dcai_axiom_check(
 
     masked = RandomVariable(np.where(cell_of == 0, X.values, 0.0))
     a_masked = dcai(space, filtration, masked, t, family, probe_family=False)
-    local_ok = _same_index(a_x.cell_values[0], a_masked.cell_values[0], index_tol)
+    local_ok = _same_index(a_x.cell_values[0], a_masked.cell_values[0])
     if not local_ok:
         failures.append("locality: masking other cells changed the index on cell 0")
 
@@ -187,7 +174,7 @@ def dcai_axiom_check(
         a_mix = dcai(space, filtration, mix, t, family, probe_family=False)
         for vm, vx, vy in zip(a_mix.cell_values, a_x.cell_values, a_y.cell_values):
             floor = min(vx, vy)
-            if not _le_extended(floor, vm, index_tol):
+            if not _le_extended(floor, vm):
                 quasi_concave_ok = False
     if not quasi_concave_ok:
         failures.append("quasi-concavity: a mixture fell below both endpoints")

@@ -252,14 +252,6 @@ def _cmd_repro(ns) -> int:
             fh.write(text)
     except OSError as e:
         raise SpecError(f"{out_path}: {e.strerror}") from None
-    computed = {}
-    max_err = 0.0
-    for label, target in ce.expected.items():
-        t = int(label.split("_")[1])
-        got = risk.choquet(ce.space, ce.filtration, ce.X, t, ce.psi)
-        computed[label] = _cell_list(got)
-        err = float(np.max(np.abs(got.cell_values - np.atleast_1d(target))))
-        max_err = max(max_err, err)
     report = _base_report(
         "repro",
         {"name": ns.name, "a": ns.a, "mu": ns.mu, "n": ns.n, "out": out_path},
@@ -276,9 +268,9 @@ def _cmd_repro(ns) -> int:
             }
             for label, target in ce.expected.items()
         ],
-        "computed": computed,
-        "max_error": max_err,
-        "match": bool(max_err <= ce.tolerance),
+        "computed": {label: _cell_list(got) for label, got in ce.computed.items()},
+        "max_error": ce.max_error,
+        "match": bool(ce.max_error <= ce.tolerance),
     }
     _emit(report)
     return 0

@@ -9,7 +9,7 @@ fail, each carrying its expected values and verifying itself on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +32,15 @@ from .space import (
     conditional_expectation,
     lift,
 )
-
-LEQ_TOL = 1e-12
-SUBMARTINGALE_TOL = 1e-10
+from .tolerance import (
+    ANALYTIC_TOL,
+    INDEX_TOL,
+    LEQ_TOL,
+    PPRIME_TOL,
+    ROOT_BRACKET_SLACK,
+    ROOT_TOL,
+    SUBMARTINGALE_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +63,9 @@ class Counterexample:
 
     expected maps a label like "rho_0" or "rho_1" to the target numbers;
     tolerance is the accuracy the risk module must reproduce them with.  The
-    constructor re-evaluates everything and fails loudly on any mismatch.
+    constructor re-evaluates everything, keeps the risks it computed per
+    label in computed and the largest deviation in max_error, and fails
+    loudly on any mismatch.
     """
 
     name: str
@@ -67,11 +75,15 @@ class Counterexample:
     psi: Distortion
     expected: dict
     tolerance: float
+    computed: dict = field(init=False)
+    max_error: float = field(init=False)
 
     def __post_init__(self) -> None:
+        computed = {}
+        max_error = 0.0
         for label, target in self.expected.items():
             t = int(label.split("_")[1])
-            got = choquet(self.space, self.filtration, self.X, t, self.psi)
+            got = computed[label] = choquet(self.space, self.filtration, self.X, t, self.psi)
             target_arr = np.atleast_1d(np.asarray(target, dtype=float))
             if got.cell_values.shape != target_arr.shape:
                 raise AssertionError(f"{self.name}: {label} shape mismatch")
@@ -80,6 +92,9 @@ class Counterexample:
                 raise AssertionError(
                     f"{self.name}: {label} off by {err} (> {self.tolerance})"
                 )
+            max_error = max(max_error, err)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "max_error", max_error)
 
 
 def check_submartingale(
@@ -178,12 +193,11 @@ def check_weak_rejection_dcai(
     a_t = np.asarray(dcai(space, filtration, X, t, family).cell_values)
     a_s = np.asarray(dcai(space, filtration, X, s, family).cell_values)
     parent = filtration.parent(t, s)
-    index_slack = 1e-6
     # child j's index m = a_s[j] is a violating level of its parent k when
     # every child of k is at or below m and k itself is above it
     top_child = np.full(a_t.size, -np.inf)
     np.maximum.at(top_child, parent, a_s)
-    level = a_s + index_slack
+    level = a_s + INDEX_TOL
     bad = np.isfinite(a_s) & (top_child[parent] <= level) & (a_t[parent] > level)
     verdict = "holds"
     witness = None
@@ -252,13 +266,13 @@ def build_nonmiddle_example() -> Counterexample:
         "rho_1": [math.sqrt(2.0) - 2.0, math.sqrt(2.0)],
         "rho_0": [math.sqrt(3.0) - 1.0],
     }
-    ce = Counterexample("nonmiddle", space, filtration, X, psi, expected, 1e-12)
+    ce = Counterexample("nonmiddle", space, filtration, X, psi, expected, ANALYTIC_TOL)
     rho_0_Y = choquet(
         space, filtration,
         RandomVariable(-lift(filtration, choquet(space, filtration, X, 1, psi)).values),
         0, psi,
     ).cell_values[0]
-    if abs(rho_0_Y - (2.0 * math.sqrt(2.0) - 2.0)) > 1e-12:
+    if abs(rho_0_Y - (2.0 * math.sqrt(2.0) - 2.0)) > ANALYTIC_TOL:
         raise AssertionError("nonmiddle: witness risk mismatch")
     return ce
 
@@ -289,25 +303,25 @@ def build_weakacc_pprime(a: float) -> Counterexample:
     }
     return Counterexample(
         f"weakacc_pprime_a{a:g}", space, filtration, X, pprime_distortion(a),
-        expected, 1e-12,
+        expected, ANALYTIC_TOL,
     )
 
 
-def is_pprime(mu: DistortionMeasure, tol: float = 1e-12) -> bool:
+def is_pprime(mu: DistortionMeasure) -> bool:
     """Whether mu has the two-atom boundary form ((a-1)/a, 1/a) at
-    (1/(a+1), 1) for some a >= 1."""
+    (1/(a+1), 1) for some a >= 1, within ``PPRIME_TOL``."""
     if mu.support.size == 1:
-        return abs(mu.support[0] - 1.0) <= tol
+        return abs(mu.support[0] - 1.0) <= PPRIME_TOL
     if mu.support.size != 2:
         return False
     s1, s2 = mu.support
     w1, w2 = mu.weights
-    if abs(s2 - 1.0) > tol:
+    if abs(s2 - 1.0) > PPRIME_TOL:
         return False
     a = 1.0 / s1 - 1.0
     if a < 1.0:
         return False
-    return abs(w1 - (a - 1.0) / a) <= tol and abs(w2 - 1.0 / a) <= tol
+    return abs(w1 - (a - 1.0) / a) <= PPRIME_TOL and abs(w2 - 1.0 / a) <= PPRIME_TOL
 
 
 @dataclass(frozen=True)
@@ -353,7 +367,7 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
         return float(psi(z)) + z - 1.0
 
     lo, hi = m, 0.5
-    if not (g(lo) < 0.0 <= g(hi) + 1e-15):
+    if not (g(lo) < 0.0 <= g(hi) + ROOT_BRACKET_SLACK):
         raise AssertionError("root of psi(z) + z - 1 not bracketed in (m, 1/2]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -361,7 +375,7 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12:
+        if hi - lo <= ROOT_TOL:
             break
     z0 = 0.5 * (lo + hi)
 

@@ -25,7 +25,14 @@ from typing import Callable
 
 import numpy as np
 
-from .space import DomainError, PROB_SUM_TOL
+from .space import DomainError
+from .tolerance import (
+    PROB_SUM_TOL,
+    PROBE_OFFSET,
+    REGULARITY_GRID_STEP,
+    RIGHT_CONTINUITY_TOL,
+    SHAPE_TOL,
+)
 
 
 def _check_unit(y, what: str = "argument") -> np.ndarray:
@@ -221,7 +228,7 @@ class PiecewiseLinear(Distortion):
         self.knots_y = y
         self.knots_v = v
         self.slopes = np.diff(v) / np.diff(y)
-        self.concave = bool(np.all(np.diff(self.slopes) <= 1e-12))
+        self.concave = bool(np.all(np.diff(self.slopes) <= SHAPE_TOL))
         self.label = label
 
     @property
@@ -385,11 +392,11 @@ class RegularityReport:
         return not self.failures
 
 
-def check_regular(psi: Distortion, grid_step: float = 1e-4) -> RegularityReport:
+def check_regular(psi: Distortion) -> RegularityReport:
     """Grid-based regularity verdicts: boundaries, monotone, concave,
     continuity proxy, and strict domination of the diagonal for non-identity
     maps."""
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    grid = np.arange(0.0, 1.0 + REGULARITY_GRID_STEP / 2, REGULARITY_GRID_STEP)
     grid[-1] = 1.0
     vals = np.asarray(psi(grid), dtype=float)
     failures: list[str] = []
@@ -399,16 +406,16 @@ def check_regular(psi: Distortion, grid_step: float = 1e-4) -> RegularityReport:
         failures.append("boundary: psi(0) != 0 or psi(1) != 1")
 
     diffs = np.diff(vals)
-    monotone_ok = bool(np.all(diffs >= -1e-12))
+    monotone_ok = bool(np.all(diffs >= -SHAPE_TOL))
     if not monotone_ok:
         failures.append("monotone: decreasing step on grid")
 
     mid = psi((grid[:-2] + grid[2:]) / 2.0)
-    concave_ok = bool(np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - 1e-12))
+    concave_ok = bool(np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - SHAPE_TOL))
     if not concave_ok:
         failures.append("concave: midpoint test failed on grid")
 
-    continuous_ok = bool(np.max(np.abs(diffs)) <= 100.0 * grid_step)
+    continuous_ok = bool(np.max(np.abs(diffs)) <= 100.0 * REGULARITY_GRID_STEP)
     if not continuous_ok:
         failures.append("continuous: grid jump exceeds proxy bound")
 
@@ -465,26 +472,16 @@ class FamilyReport:
         return not self.failures
 
 
-def check_family_monotone(
-    family: DistortionFamily,
-    x_grid=None,
-    y_grid=None,
-    offset: float = 1e-6,
-    tol: float = 1e-8,
-) -> FamilyReport:
+def check_family_monotone(family: DistortionFamily) -> FamilyReport:
     """Probe monotonicity in the index and right-continuity by finite offset."""
-    if x_grid is None:
-        x_grid = np.asarray([0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    if y_grid is None:
-        y_grid = np.linspace(0.0, 1.0, 41)
-    x_grid = np.sort(np.asarray(x_grid, dtype=float))
-    y_grid = np.asarray(y_grid, dtype=float)
+    x_grid = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    y_grid = np.linspace(0.0, 1.0, 41)
     failures: list[str] = []
 
     vals = [np.asarray(family(x)(y_grid), dtype=float) for x in x_grid]
     monotone_ok = True
     for a, b in zip(vals[:-1], vals[1:]):
-        if np.any(b < a - 1e-12):
+        if np.any(b < a - SHAPE_TOL):
             monotone_ok = False
     if not monotone_ok:
         failures.append("family not increasing in the index on the probe grid")
@@ -494,9 +491,9 @@ def check_family_monotone(
         # estimate the right limit from two offsets; the linear extrapolation
         # cancels the O(offset) drift of a smooth family while a genuine jump
         # survives in full
-        v1 = np.asarray(family(x + offset)(y_grid), dtype=float)
-        v2 = np.asarray(family(x + 2.0 * offset)(y_grid), dtype=float)
-        if np.max(np.abs(2.0 * v1 - v2 - v)) > tol:
+        v1 = np.asarray(family(x + PROBE_OFFSET)(y_grid), dtype=float)
+        v2 = np.asarray(family(x + 2.0 * PROBE_OFFSET)(y_grid), dtype=float)
+        if np.max(np.abs(2.0 * v1 - v2 - v)) > RIGHT_CONTINUITY_TOL:
             right_continuous_ok = False
     if not right_continuous_ok:
         failures.append("family fails the finite-offset right-continuity probe")

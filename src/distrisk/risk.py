@@ -26,6 +26,7 @@ from .space import (
     ScenarioSpace,
     conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
 )
+from .tolerance import CROSS_CHECK_TOL
 
 
 def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
@@ -178,19 +179,12 @@ def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> flo
     )
 
 
-def dwvar(
-    space,
-    filtration,
-    X,
-    t,
-    mu: DistortionMeasure,
-    cross_check_tol: float = 1e-9,
-) -> AdaptedValue:
+def dwvar(space, filtration, X, t, mu: DistortionMeasure) -> AdaptedValue:
     """Weighted value at risk given the information at time t, per cell.
 
     Evaluated as the mixture of tail means; an independent quantile-integral
-    form is computed alongside and a disagreement beyond cross_check_tol is
-    raised as an internal inconsistency.
+    form is computed alongside and a relative disagreement beyond
+    ``CROSS_CHECK_TOL`` is raised as an internal inconsistency.
     """
     if not isinstance(mu, DistortionMeasure):
         raise DomainError("dwvar needs a finitely supported level measure")
@@ -198,7 +192,7 @@ def dwvar(
     laws = LevelLaws(space, filtration, X, t)
     v = sum(w * _tail_mean(laws, s) for s, w in zip(mu.support, mu.weights))
     v_alt = _distorted(laws, psi)
-    bad = np.abs(v - v_alt) > cross_check_tol * np.maximum(1.0, np.abs(v))
+    bad = np.abs(v - v_alt) > CROSS_CHECK_TOL * np.maximum(1.0, np.abs(v))
     if np.any(bad):
         k = int(np.argmax(bad))
         raise AssertionError(

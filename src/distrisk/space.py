@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROB_SUM_TOL = 1e-12
-RENORM_WINDOW = 1e-9
+from .tolerance import PROB_SUM_TOL, RENORM_WINDOW
 
 
 class DomainError(ValueError):
@@ -25,8 +24,8 @@ class DomainError(ValueError):
 class ScenarioSpace:
     """Atom probabilities of a finite sample space.
 
-    Inputs whose total is within 1e-9 of 1 are renormalized; anything further
-    off, or any non-positive entry, is rejected.
+    Inputs whose total is within ``RENORM_WINDOW`` of 1 are renormalized;
+    anything further off, or any non-positive entry, is rejected.
     """
 
     probabilities: np.ndarray
@@ -382,9 +381,9 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
 
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
-    constructors would reject can still be diagnosed.  A level whose entries
-    are not integers, or too large for an int64, is not a partition of the
-    atom set.
+    constructors would reject can still be diagnosed.  A level with an empty
+    cell, or whose entries are not integers or too large for an int64, is not
+    a partition of the atom set.
     """
     report: list[str] = []
     p = _floats(probabilities)
@@ -403,7 +402,7 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     levels = [_level_arrays(level) for level in partitions]
     ok_shape = True
     for t, level in enumerate(levels):
-        if level is None or not _lists_each_once(level[0], n):
+        if level is None or not _lists_each_once(level[0], n) or not level[1].all():
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:

@@ -2,8 +2,13 @@
 
 A tree document is a JSON object with a schema_version, a list of atoms
 (probability plus named payoffs), an explicit filtration as atom-index
-partitions, and a free-form metadata map.  Serialization uses 17 significant
-digits so doubles round-trip exactly and repeated runs are byte-identical.
+partitions, and a free-form metadata map.  Serialization writes every float
+with 17 significant digits, so each written double parses back to the same
+double and repeated runs are byte-identical.  A document need not read back
+to the one written: reading renormalizes the probabilities by their
+floating-point sum (a tree whose probabilities do not add up to exactly 1.0
+comes back within one rounding of them), and a payoff of -0.0 is written as
+``-0`` and reads back as 0.0.
 """
 
 from __future__ import annotations

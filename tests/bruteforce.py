@@ -218,7 +218,7 @@ def validate(probabilities, partitions, *value_vectors):
     ok_shape = True
     for t, level in enumerate(levels):
         flat = [i for cell in level for i in cell]
-        if len(flat) != len(set(flat)) or set(flat) != atom_set:
+        if len(flat) != len(set(flat)) or set(flat) != atom_set or () in level:
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:

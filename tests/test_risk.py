@@ -30,6 +30,7 @@ from distrisk import (
 from distrisk.distortion import PiecewiseLinear
 from distrisk.risk import distribution_choquet
 from distrisk.space import conditional_distribution
+from distrisk.tolerance import CROSS_CHECK_TOL
 
 from conftest import (
     random_measure,
@@ -283,6 +284,24 @@ class TestDwvar:
         space, filtration, X = three_point()
         with pytest.raises(DomainError):
             dwvar(space, filtration, X, 0, "not a measure")
+
+    @pytest.mark.parametrize("gap, fails", [(10.0, True), (0.1, False)])
+    def test_cross_check_threshold(self, monkeypatch, gap, fails):
+        # the distortion form sees psi(1/4) raised by d, which moves the
+        # risk of (-2, 0, 1, 3) from 1 by d * (0 - (-2)) = 2d
+        d = gap * CROSS_CHECK_TOL / 2.0
+        monkeypatch.setattr(
+            "distrisk.risk.psi_from_measure",
+            lambda mu: PiecewiseLinear([0.0, 0.25, 0.5, 1.0], [0.0, 0.5 + d, 1.0, 1.0]),
+        )
+        space = ScenarioSpace(np.full(4, 0.25))
+        filtration = Filtration((((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
+        X = RandomVariable(np.asarray([-2.0, 0.0, 1.0, 3.0]))
+        if fails:
+            with pytest.raises(AssertionError, match="dwvar internal cross-check failed"):
+                dwvar(space, filtration, X, 0, dirac(0.5))
+        else:
+            assert dwvar(space, filtration, X, 0, dirac(0.5)).cell_values[0] == 1.0
 
 
 class TestMinIid:

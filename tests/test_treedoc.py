@@ -187,7 +187,7 @@ CASES = [
     ("payoff-inf", text(atoms=atoms((2, "payoffs", {"X": -1e400}))),
      "payoff 0: non-finite values"),
     ("empty-cell", levels([[[0, 1, 2]], [[0, 1], [], [2]], [[0], [1], [2]]]),
-     "empty cell at time 1"),
+     "partition t=1: not a partition of the atom set"),
     ("several-problems", levels(
         [[[0, 1], [2]], [[0, 1], [2]]],
         ).replace('"probability": 0.25', '"probability": 0.3'),
