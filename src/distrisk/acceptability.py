@@ -108,21 +108,6 @@ class AxiomReport:
         return not self.failures
 
 
-def _le_extended(a, b) -> bool:
-    if math.isinf(a):
-        return math.isinf(b)
-    if math.isinf(b):
-        return True
-    return a <= b + INDEX_TOL
-
-
-def _same_index(u, v) -> bool:
-    """Equal extended indices: both infinite, or both finite within INDEX_TOL."""
-    if math.isinf(u) or math.isinf(v):
-        return math.isinf(u) and math.isinf(v)
-    return abs(u - v) <= INDEX_TOL
-
-
 def dcai_axiom_check(
     space: ScenarioSpace,
     filtration: Filtration,
@@ -136,50 +121,41 @@ def dcai_axiom_check(
     Monotonicity is checked only when X <= Y pointwise; scaling uses a fixed
     positive factor per cell; locality restricts the payoff to one cell;
     quasi-concavity probes mixtures of X and Y on a small weight grid.
+
+    Indices lie in [0, inf]: a <= b + INDEX_TOL orders them (inf is above
+    every finite index and at most inf), and two are equal when within
+    INDEX_TOL of each other or both inf.
     """
-    failures: list[str] = []
-    a_x = dcai(space, filtration, X, t, family, probe_family=False)
-    a_y = dcai(space, filtration, Y, t, family, probe_family=False)
+    def index(Z: RandomVariable) -> np.ndarray:
+        result = dcai(space, filtration, Z, t, family, probe_family=False)
+        return np.asarray(result.cell_values)
 
-    monotone_ok = True
-    if np.all(X.values <= Y.values):
-        for vx, vy in zip(a_x.cell_values, a_y.cell_values):
-            if not _le_extended(vx, vy):
-                monotone_ok = False
-    if not monotone_ok:
-        failures.append("monotonicity: X <= Y but index decreased")
+    def at_most(a, b) -> bool:
+        return bool(np.all(a <= b + INDEX_TOL))
 
+    def same(a, b) -> bool:
+        return bool(np.all(np.isclose(a, b, rtol=0.0, atol=INDEX_TOL)))
+
+    a_x = index(X)
+    a_y = index(Y)
+    monotone_ok = not np.all(X.values <= Y.values) or at_most(a_x, a_y)
     cell_of = filtration.cell_of_atom(t)
     beta = 1.0 + 3.0 * (cell_of % 3)  # positive, measurable at time t
-    a_scaled = dcai(
-        space, filtration, RandomVariable(beta * X.values), t, family,
-        probe_family=False,
-    )
-    scale_invariant_ok = all(
-        _same_index(u, v)
-        for u, v in zip(a_x.cell_values, a_scaled.cell_values)
-    )
-    if not scale_invariant_ok:
-        failures.append("scale invariance: positive measurable scaling moved the index")
-
+    scale_invariant_ok = same(a_x, index(RandomVariable(beta * X.values)))
     masked = RandomVariable(np.where(cell_of == 0, X.values, 0.0))
-    a_masked = dcai(space, filtration, masked, t, family, probe_family=False)
-    local_ok = _same_index(a_x.cell_values[0], a_masked.cell_values[0])
-    if not local_ok:
-        failures.append("locality: masking other cells changed the index on cell 0")
-
-    quasi_concave_ok = True
-    for lam in (0.25, 0.5, 0.75):
-        mix = RandomVariable(lam * X.values + (1.0 - lam) * Y.values)
-        a_mix = dcai(space, filtration, mix, t, family, probe_family=False)
-        for vm, vx, vy in zip(a_mix.cell_values, a_x.cell_values, a_y.cell_values):
-            floor = min(vx, vy)
-            if not _le_extended(floor, vm):
-                quasi_concave_ok = False
-    if not quasi_concave_ok:
-        failures.append("quasi-concavity: a mixture fell below both endpoints")
-
+    local_ok = same(a_x[0], index(masked)[0])
+    mixes = [
+        index(RandomVariable(lam * X.values + (1.0 - lam) * Y.values))
+        for lam in (0.25, 0.5, 0.75)
+    ]
+    quasi_concave_ok = at_most(np.minimum(a_x, a_y), np.min(mixes, axis=0))
+    verdicts = (
+        (monotone_ok, "monotonicity: X <= Y but index decreased"),
+        (scale_invariant_ok, "scale invariance: positive measurable scaling moved the index"),
+        (local_ok, "locality: masking other cells changed the index on cell 0"),
+        (quasi_concave_ok, "quasi-concavity: a mixture fell below both endpoints"),
+    )
     return AxiomReport(
         monotone_ok, scale_invariant_ok, local_ok, quasi_concave_ok,
-        tuple(failures),
+        tuple(message for ok, message in verdicts if not ok),
     )

@@ -57,6 +57,14 @@ class ConsistencyReport:
         return self.verdict == "holds"
 
 
+def _report(
+    name: str, t: int, s: int | None, values, witness: dict | None
+) -> ConsistencyReport:
+    """A checker's report: violated exactly when there is a witness."""
+    verdict = "holds" if witness is None else "violated"
+    return ConsistencyReport(name, t, s, tuple(map(float, values)), verdict, witness)
+
+
 @dataclass(frozen=True)
 class Counterexample:
     """A concrete tree, payoff and distortion with expected risk values.
@@ -108,13 +116,10 @@ def check_submartingale(
     mean_later = conditional_expectation(space, filtration, lift(filtration, rho_s), t)
     margins = rho_t.cell_values - mean_later.cell_values
     bad = int(np.argmin(margins))
-    verdict = "holds" if margins[bad] >= -SUBMARTINGALE_TOL else "violated"
     witness = None
-    if verdict == "violated":
+    if not margins[bad] >= -SUBMARTINGALE_TOL:
         witness = {"cell": bad, "margin": float(margins[bad])}
-    return ConsistencyReport(
-        "submartingale", t, s, tuple(float(m) for m in margins), verdict, witness
-    )
+    return _report("submartingale", t, s, margins, witness)
 
 
 def check_super_strict_failure(
@@ -138,16 +143,11 @@ def check_super_strict_failure(
     np.maximum.at(high, cell_of, X.values)
     constant = low == high
     ok = np.where(constant, np.abs(margins) <= LEQ_TOL, margins > LEQ_TOL)
-    verdict = "holds"
     witness = None
     if not np.all(ok):
         k = int(np.argmin(ok))
-        verdict = "violated"
         witness = {"cell": k, "margin": float(margins[k]), "constant": bool(constant[k])}
-    return ConsistencyReport(
-        "super_strict_failure", t, None, tuple(float(m) for m in margins),
-        verdict, witness,
-    )
+    return _report("super_strict_failure", t, None, margins, witness)
 
 
 def check_weak_acceptance(
@@ -165,19 +165,15 @@ def check_weak_acceptance(
     parent = filtration.parent(t, s)
     rejected_children = np.bincount(parent, weights=rho_s > LEQ_TOL, minlength=rho_t.size)
     bad = (rejected_children == 0) & (rho_t > LEQ_TOL)
-    verdict = "holds"
     witness = None
     if np.any(bad):
         k = int(np.argmax(bad))
-        verdict = "violated"
         witness = {
             "cell": k,
             "rho_t": float(rho_t[k]),
             "rho_s_children": [float(v) for v in rho_s[parent == k]],
         }
-    return ConsistencyReport(
-        "weak_acceptance", t, s, tuple(float(v) for v in rho_t), verdict, witness
-    )
+    return _report("weak_acceptance", t, s, rho_t, witness)
 
 
 def check_weak_rejection_dcai(
@@ -199,21 +195,17 @@ def check_weak_rejection_dcai(
     np.maximum.at(top_child, parent, a_s)
     level = a_s + INDEX_TOL
     bad = np.isfinite(a_s) & (top_child[parent] <= level) & (a_t[parent] > level)
-    verdict = "holds"
     witness = None
     if np.any(bad):
         k = int(parent[bad].min())
         j = int(np.argmax(bad & (parent == k)))
-        verdict = "violated"
         witness = {
             "cell": k,
             "level": float(a_s[j]),
             "index_t": float(a_t[k]),
             "index_s_children": [float(v) for v in a_s[parent == k]],
         }
-    return ConsistencyReport(
-        "dcai_weak_rejection", t, s, tuple(float(v) for v in a_t), verdict, witness
-    )
+    return _report("dcai_weak_rejection", t, s, a_t, witness)
 
 
 def middle_rejection_probe(
@@ -233,17 +225,14 @@ def middle_rejection_probe(
     rho_t_y = choquet(space, filtration, Y, t, psi).cell_values
     margins = rho_t_x - rho_t_y
     bad = int(np.argmin(margins))
-    verdict = "violated" if margins[bad] < -LEQ_TOL else "holds"
     witness = None
-    if verdict == "violated":
+    if margins[bad] < -LEQ_TOL:
         witness = {
             "cell": bad,
             "rho_t_X": float(rho_t_x[bad]),
             "rho_t_Y": float(rho_t_y[bad]),
         }
-    return ConsistencyReport(
-        "middle_rejection", t, s, tuple(float(m) for m in margins), verdict, witness
-    )
+    return _report("middle_rejection", t, s, margins, witness)
 
 
 def build_nonmiddle_example() -> Counterexample:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .space import DomainError
 from .tolerance import (
+    CONTINUITY_GRID_RATIO,
     PROB_SUM_TOL,
     PROBE_OFFSET,
     REGULARITY_GRID_STEP,
@@ -35,10 +36,10 @@ from .tolerance import (
 )
 
 
-def _check_unit(y, what: str = "argument") -> np.ndarray:
+def _check_unit(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"{what} must lie in [0, 1]")
+        raise DomainError("argument must lie in [0, 1]")
     return arr
 
 
@@ -395,7 +396,13 @@ class RegularityReport:
 def check_regular(psi: Distortion) -> RegularityReport:
     """Grid-based regularity verdicts: boundaries, monotone, concave,
     continuity proxy, and strict domination of the diagonal for non-identity
-    maps."""
+    maps.
+
+    The continuity proxy bounds every step of psi by ``100 *
+    REGULARITY_GRID_STEP`` on the uniform grid merged with the geometric grid
+    ``CONTINUITY_GRID_RATIO ** k`` down to the smallest normal double, so a
+    concave map that rises steeply but continuously from 0 passes and a jump
+    anywhere, at 0 included, fails."""
     grid = np.arange(0.0, 1.0 + REGULARITY_GRID_STEP / 2, REGULARITY_GRID_STEP)
     grid[-1] = 1.0
     vals = np.asarray(psi(grid), dtype=float)
@@ -415,7 +422,10 @@ def check_regular(psi: Distortion) -> RegularityReport:
     if not concave_ok:
         failures.append("concave: midpoint test failed on grid")
 
-    continuous_ok = bool(np.max(np.abs(diffs)) <= 100.0 * REGULARITY_GRID_STEP)
+    k = np.arange(int(np.log(np.finfo(float).tiny) / np.log(CONTINUITY_GRID_RATIO)) + 1)
+    fine = np.union1d(grid, CONTINUITY_GRID_RATIO ** k)
+    steps = np.abs(np.diff(np.asarray(psi(fine), dtype=float)))
+    continuous_ok = bool(np.max(steps) <= 100.0 * REGULARITY_GRID_STEP)
     if not continuous_ok:
         failures.append("continuous: grid jump exceeds proxy bound")
 

@@ -52,6 +52,19 @@ class ScenarioSpace:
         return int(self.probabilities.size)
 
 
+def _partition_problem(t: int, atoms: np.ndarray, sizes: np.ndarray, n: int) -> str | None:
+    """Why the level at time t, given as its atom indices flat in cell order
+    and its cell sizes, is not a partition of the atoms 0..n-1; None if it is."""
+    if np.any(sizes == 0):
+        return f"empty cell at time {t}"
+    uncovered = f"level {t} does not cover the same atom set"
+    if atoms.size and (atoms.min() < 0 or atoms.max() >= n):
+        return "atom indices must be 0..n-1" if t == 0 else uncovered
+    if np.bincount(atoms, minlength=n).max(initial=0) > 1:
+        return f"overlapping cells at time {t}"
+    return uncovered if atoms.size != n else None
+
+
 class Filtration:
     """Per-time partitions of the atom index set.
 
@@ -75,22 +88,15 @@ class Filtration:
         n = None
         for t, level in enumerate(partitions):
             sizes = np.fromiter(map(len, level), dtype=np.int32)
-            if np.any(sizes == 0):
-                raise DomainError(f"empty cell at time {t}")
             atoms = np.fromiter(
                 itertools.chain.from_iterable(level), dtype=np.int32,
                 count=int(sizes.sum()),
             )
             if n is None:
                 n = atoms.size
-            if atoms.size and (atoms.min() < 0 or atoms.max() >= n):
-                if t == 0:
-                    raise DomainError("atom indices must be 0..n-1")
-                raise DomainError(f"level {t} does not cover the same atom set")
-            if np.bincount(atoms, minlength=n).max(initial=0) > 1:
-                raise DomainError(f"overlapping cells at time {t}")
-            if atoms.size != n:
-                raise DomainError(f"level {t} does not cover the same atom set")
+            problem = _partition_problem(t, atoms, sizes, n)
+            if problem is not None:
+                raise DomainError(problem)
             cell_of = np.empty(n, dtype=np.int32)
             cell_of[atoms] = np.repeat(np.arange(sizes.size), sizes)
             for a in (atoms, sizes, cell_of):
@@ -360,14 +366,6 @@ def _level_arrays(level):
     return atoms, sizes
 
 
-def _lists_each_once(atoms: np.ndarray, n: int) -> bool:
-    """Whether the indices are 0..n-1, each exactly once (n >= 1)."""
-    return bool(
-        atoms.size == n and atoms.min() >= 0 and atoms.max() < n
-        and np.bincount(atoms, minlength=n).max() == 1
-    )
-
-
 def _floats(values):
     """values as a float array, or None where they are not numbers."""
     try:
@@ -402,7 +400,7 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     levels = [_level_arrays(level) for level in partitions]
     ok_shape = True
     for t, level in enumerate(levels):
-        if level is None or not _lists_each_once(level[0], n) or not level[1].all():
+        if level is None or _partition_problem(t, *level, n) is not None:
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:

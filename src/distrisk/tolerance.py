@@ -25,5 +25,8 @@ ROOT_TOL = 1e-12  # bisection width at which that root is taken
 
 SHAPE_TOL = 1e-12  # slack of every monotone and concave test on a distortion's knots or grid
 REGULARITY_GRID_STEP = 1e-4  # grid spacing of the regularity check
+# ratio of the continuity check's geometric grid towards 0: concave psi with psi(0) = 0 has
+# psi(r y) >= r psi(y), so it rises by at most 1 - r = 100 * REGULARITY_GRID_STEP per step
+CONTINUITY_GRID_RATIO = 0.99
 PROBE_OFFSET = 1e-6  # parameter offset of a family's right-continuity probe
 RIGHT_CONTINUITY_TOL = 1e-8  # largest extrapolated jump at a probe point that counts as continuous

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +50,7 @@ def _fmt(x) -> str:
 
 
 def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits; insertion order kept.
-
-    An iterator is written as an array of non-scalar items, rendered one item
-    at a time, so the items need not all exist at once.
-    """
+    """JSON text with floats at 17 significant digits; insertion order kept."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -69,7 +64,7 @@ def dumps_17g(obj, indent: int = 0) -> str:
         isinstance(v, (int, float, str, bool)) or v is None for v in obj
     ):
         return "[" + ", ".join(dumps_17g(v) for v in obj) + "]"
-    if isinstance(obj, (list, tuple, Iterator)):
+    if isinstance(obj, (list, tuple)):
         items = [f"{pad}  {dumps_17g(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     if isinstance(obj, bool) or obj is None:

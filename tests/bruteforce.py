@@ -249,19 +249,19 @@ def validate(probabilities, partitions, *value_vectors):
 
 def document_to_text(doc):
     names = list(doc.payoffs)
-    atoms = (
+    atoms = [
         {
             "probability": float(doc.space.probabilities[i]),
             "payoffs": {n: float(doc.payoffs[n].values[i]) for n in names},
         }
         for i in range(doc.space.n_atoms)
-    )
+    ]
     body = {
         "schema_version": SCHEMA_VERSION,
         "atoms": atoms,
-        "filtration": (
+        "filtration": [
             [list(cell) for cell in level] for level in doc.filtration.partitions
-        ),
+        ],
         "metadata": {str(k): str(v) for k, v in doc.metadata.items()},
     }
     return dumps_17g(body) + "\n"

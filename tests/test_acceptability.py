@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distrisk import (
+    AcceptabilityResult,
     DistortionFamily,
     DomainError,
     Filtration,
@@ -17,6 +18,8 @@ from distrisk import (
     dcai_axiom_check,
     minvar_family,
 )
+from distrisk import acceptability
+from distrisk.tolerance import INDEX_TOL
 
 from conftest import random_payoff, random_tree
 
@@ -135,3 +138,101 @@ class TestAxiomCheck:
         a = dcai(space, filtration, X, 0, family).cell_values[0]
         b = dcai(space, filtration, Y, 0, family).cell_values[0]
         assert a <= b + 1e-9
+
+
+MONOTONE = "monotonicity: X <= Y but index decreased"
+SCALE = "scale invariance: positive measurable scaling moved the index"
+LOCAL = "locality: masking other cells changed the index on cell 0"
+QUASI = "quasi-concavity: a mixture fell below both endpoints"
+JUST_OVER = float(np.nextafter(INDEX_TOL, 1.0))
+INF = math.inf
+
+
+def axiom_failures(monkeypatch, a_x, a_y, scaled=None, masked=None, mix=None, ordered=True):
+    """The failures dcai_axiom_check reports on a two-cell level when dcai
+    gives these indices for X, Y, the scaled X, the masked X and each of the
+    three mixtures, in that order.  Scaled and masked default to X's indices,
+    the mixtures to the larger endpoint; X <= Y pointwise iff ordered."""
+    results = iter(
+        [a_x, a_y, scaled or a_x, masked or a_x] + [mix or tuple(map(max, a_x, a_y))] * 3
+    )
+
+    def fake_dcai(space, filtration, X, t, family, probe_family=True):
+        return AcceptabilityResult(t, next(results))
+
+    monkeypatch.setattr(acceptability, "dcai", fake_dcai)
+    space, filtration = coin_tree()
+    X = RandomVariable(np.asarray([0.0, 1.0]))
+    Y = RandomVariable(X.values + (1.0 if ordered else np.asarray([1.0, -1.0])))
+    report = dcai_axiom_check(space, filtration, X, Y, 1, minvar_family())
+    assert next(results, None) is None
+    return report.failures
+
+
+class TestAxiomVerdicts:
+    """Each axiom's comparison of extended indices in [0, inf]: inf equals
+    only inf, finite is below inf, and INDEX_TOL is the largest gap that
+    still counts as equal."""
+
+    def test_consistent_indices_pass(self, monkeypatch):
+        assert axiom_failures(monkeypatch, (1.0, 2.0), (1.5, INF)) == ()
+
+    def test_every_failure_in_order(self, monkeypatch):
+        failures = axiom_failures(
+            monkeypatch, (2.0, 1.0), (1.0, 1.0),
+            scaled=(3.0, 1.0), masked=(4.0, 1.0), mix=(0.0, 0.0),
+        )
+        assert failures == (MONOTONE, SCALE, LOCAL, QUASI)
+
+    @pytest.mark.parametrize("a_x, a_y, failed", [
+        ((2.0, 1.0), (1.0, 1.0), True),
+        ((1.0, 2.0), (1.0, 1.0), True),
+        ((INF, 1.0), (5.0, 1.0), True),
+        ((5.0, 1.0), (INF, 1.0), False),
+        ((INF, 1.0), (INF, 1.0), False),
+        ((INDEX_TOL, 1.0), (0.0, 1.0), False),
+        ((JUST_OVER, 1.0), (0.0, 1.0), True),
+    ])
+    def test_monotonicity(self, monkeypatch, a_x, a_y, failed):
+        assert axiom_failures(monkeypatch, a_x, a_y) == ((MONOTONE,) if failed else ())
+
+    def test_monotonicity_needs_ordered_payoffs(self, monkeypatch):
+        assert axiom_failures(monkeypatch, (2.0, 1.0), (1.0, 1.0), ordered=False) == ()
+
+    @pytest.mark.parametrize("a_x, scaled, failed", [
+        ((1.0, 2.0), (1.0, 2.5), True),
+        ((INF, 2.0), (INF, 2.0), False),
+        ((INF, 2.0), (5.0, 2.0), True),
+        ((1.0, 5.0), (1.0, INF), True),
+        ((0.0, 2.0), (INDEX_TOL, 2.0), False),
+        ((0.0, 2.0), (JUST_OVER, 2.0), True),
+    ])
+    def test_scale_invariance(self, monkeypatch, a_x, scaled, failed):
+        failures = axiom_failures(monkeypatch, a_x, a_x, scaled=scaled)
+        assert failures == ((SCALE,) if failed else ())
+
+    @pytest.mark.parametrize("a_x, masked, failed", [
+        ((1.0, 2.0), (1.5, 2.0), True),
+        ((1.0, 2.0), (1.0, 7.0), False),
+        ((INF, 2.0), (INF, 0.0), False),
+        ((INF, 2.0), (5.0, 2.0), True),
+        ((5.0, 2.0), (INF, 2.0), True),
+        ((0.0, 2.0), (INDEX_TOL, 2.0), False),
+        ((0.0, 2.0), (JUST_OVER, 2.0), True),
+    ])
+    def test_locality_on_cell_zero(self, monkeypatch, a_x, masked, failed):
+        failures = axiom_failures(monkeypatch, a_x, a_x, masked=masked)
+        assert failures == ((LOCAL,) if failed else ())
+
+    @pytest.mark.parametrize("a_x, a_y, mix, failed", [
+        ((1.0, 2.0), (3.0, 2.0), (0.5, 2.0), True),
+        ((1.0, 2.0), (3.0, 2.0), (1.0, 2.0), False),
+        ((INF, 2.0), (INF, 2.0), (5.0, 2.0), True),
+        ((INF, 2.0), (5.0, 2.0), (5.0, 2.0), False),
+        ((1.0, 2.0), (3.0, 2.0), (INF, 2.0), False),
+        ((INDEX_TOL, 2.0), (1.0, 2.0), (0.0, 2.0), False),
+        ((JUST_OVER, 2.0), (1.0, 2.0), (0.0, 2.0), True),
+    ])
+    def test_quasi_concavity(self, monkeypatch, a_x, a_y, mix, failed):
+        failures = axiom_failures(monkeypatch, a_x, a_y, mix=mix, ordered=False)
+        assert failures == ((QUASI,) if failed else ())

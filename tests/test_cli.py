@@ -13,7 +13,6 @@ from distrisk.treedoc import (
     TreeDocument,
     document_from_text,
     document_to_text,
-    dumps_17g,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -347,11 +346,6 @@ class TestTreeDocument:
         )
         assert code == 2
         assert err == f"error: {path}: {message}\n"
-
-    def test_iterators_render_like_lists(self):
-        rows = [{"x": 1.5, "y": [1, 2]}, {"x": -0.25, "y": []}]
-        assert dumps_17g({"rows": iter(rows)}) == dumps_17g({"rows": rows})
-        assert dumps_17g({"rows": iter([])}) == dumps_17g({"rows": []})
 
     def test_seventeen_digit_roundtrip(self):
         ce = build_nonmiddle_example()

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import betainc
 
 from distrisk import (
+    Distortion,
     DistortionFamily,
     DistortionMeasure,
     DomainError,
@@ -191,7 +192,34 @@ class TestMMu:
         assert m_mu(dirac(0.5)) == 0.25
 
 
+class JumpAt(Distortion):
+    """psi(y) = y up to the jump point, 0.5 + 0.5 y beyond it."""
+
+    def __init__(self, at: float):
+        self.at = at
+
+    def _psi(self, y):
+        return np.where(y > self.at, 0.5 + 0.5 * y, y)
+
+
 class TestCheckRegular:
+    @pytest.mark.parametrize("psi", [
+        ProportionalHazard(0.3), MaxVar(2), MaxMinVar(2), MinMaxVar(2),
+        PiecewiseLinear([0, 1e-4, 1], [0, 0.9, 1]),
+    ], ids=lambda psi: psi.label)
+    def test_steep_concave_maps_pass(self, psi):
+        # each rises by more than 100 grid steps' worth on the first uniform
+        # grid step from 0, yet is continuous there
+        report = check_regular(psi)
+        assert report.continuous_ok
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("at", [0.0, 5e-5])
+    def test_jumps_fail_continuity(self, at):
+        report = check_regular(JumpAt(at))
+        assert not report.continuous_ok
+        assert "continuous: grid jump exceeds proxy bound" in report.failures
+
     def test_minvar_passes(self):
         assert check_regular(MinVar(2)).passed
 
