@@ -4,11 +4,13 @@ Everything here is exact on finite supports: the distorted-expectation
 evaluator is a sorted cumulative sum, quantiles scan CDF breakpoints, and the
 tail-mean integrals are step integrals with closed-form pieces.  All
 operations return one value per information cell at the requested time; each
-sorts the payoff once for the whole level (:class:`~distrisk.space.LevelLaws`)
-and evaluates every cell in the same few array expressions.  The
-``distribution_*`` functions compute the same quantities on one
-:class:`~distrisk.space.DiscreteDistribution` and serve as the per-cell
-reference.
+builds the payoff's laws on the whole level (:class:`~distrisk.space.LevelLaws`)
+and evaluates every cell in the same few array expressions.  A payoff is
+sorted by value once, on first use; each level's laws then take one stable
+pass over the cell ids, so evaluating one payoff again, at any time, does not
+sort its values again.  The ``distribution_*`` functions compute the same
+quantities on one :class:`~distrisk.space.DiscreteDistribution` and serve as
+the per-cell reference.
 """
 
 from __future__ import annotations

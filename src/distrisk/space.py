@@ -8,6 +8,7 @@ this package is built on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -177,6 +178,15 @@ class RandomVariable:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @functools.cached_property
+    def value_order(self) -> np.ndarray:
+        """The atoms in increasing value order, tied values in atom order
+        (read-only); sorted on first use and kept, 8 bytes per atom.  The
+        values are read-only, so the order never goes stale."""
+        order = np.argsort(self.values, kind="stable")
+        order.setflags(write=False)
+        return order
+
 
 @dataclass(frozen=True)
 class AdaptedValue:
@@ -223,6 +233,11 @@ class DiscreteDistribution:
         return float(self.support @ self.weights)
 
 
+def _check_sizes(space: ScenarioSpace, filtration: Filtration, X: RandomVariable) -> None:
+    if not X.values.size == space.n_atoms == filtration.n_atoms:
+        raise DomainError("payoff length does not match atom count")
+
+
 def conditional_distribution(
     space: ScenarioSpace,
     filtration: Filtration,
@@ -239,8 +254,7 @@ def conditional_distribution(
     if not 0 <= cell_index < len(cells):
         raise DomainError(f"unknown cell {cell_index} at time {t}")
     idx = list(cells[cell_index])
-    if X.values.size != space.n_atoms:
-        raise DomainError("payoff length does not match atom count")
+    _check_sizes(space, filtration, X)
     vals = X.values[idx]
     probs = space.probabilities[idx]
     cell_p = probs.sum()
@@ -259,12 +273,22 @@ def conditional_distribution(
     return DiscreteDistribution(np.asarray(support), w)
 
 
-def _merge_ties(cell_of: np.ndarray, x: np.ndarray, p: np.ndarray):
-    """Sort the atoms by (cell, value) and merge equal values within a cell:
-    the cell, the value and the total probability of each merged point."""
-    order = np.lexsort((x, cell_of))
+def _merge_ties(cell_of: np.ndarray, n_cells: int, X: RandomVariable, p: np.ndarray):
+    """Line up the atoms by (cell, value) and merge equal values within a cell:
+    the cell, the value and the total probability of each merged point.
+
+    A stable sort of the cell ids along the payoff's value order keeps each
+    cell's atoms in value order, ties in atom order: the same permutation as
+    a two-key sort by (cell, value).  Up to 65,536 cells the ids are narrowed
+    to uint16, which numpy sorts by radix."""
+    order = X.value_order
+    if n_cells > 1:
+        ids = cell_of[order]
+        if n_cells <= 1 << 16:
+            ids = ids.astype(np.uint16)
+        order = order[np.argsort(ids, kind="stable")]
     cell = cell_of[order]
-    x = x[order]
+    x = X.values[order]
     new = np.ones(x.size, dtype=bool)
     new[1:] = (cell[1:] != cell[:-1]) | (x[1:] != x[:-1])
     runs = np.flatnonzero(new)
@@ -274,10 +298,12 @@ def _merge_ties(cell_of: np.ndarray, x: np.ndarray, p: np.ndarray):
 class LevelLaws:
     """Conditional laws of one payoff on every cell of the partition at time t.
 
-    One lexsort by (cell, value) lines up each cell's atoms in increasing
-    value order, cell after cell; atoms of one cell sharing the exact same
-    value are merged by summing their probabilities.  The laws are kept as
-    flat arrays over the merged points, cell by cell:
+    The payoff's value order, sorted once per payoff
+    (:attr:`RandomVariable.value_order`), and one stable pass over the cell
+    ids line up each cell's atoms in increasing value order, cell after cell;
+    atoms of one cell sharing the exact same value are merged by summing
+    their probabilities.  The laws are kept as flat arrays over the merged
+    points, cell by cell:
 
     - ``cell``: the cell of each point;
     - ``support``: its value, strictly increasing within a cell;
@@ -296,12 +322,11 @@ class LevelLaws:
     def __init__(
         self, space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
     ) -> None:
-        if not X.values.size == space.n_atoms == filtration.n_atoms:
-            raise DomainError("payoff length does not match atom count")
+        _check_sizes(space, filtration, X)
         cell_of = filtration.cell_of_atom(t)
         p = space.probabilities
         n_cells = filtration.n_cells(t)
-        self.cell, self.support, mass = _merge_ties(cell_of, X.values, p)
+        self.cell, self.support, mass = _merge_ties(cell_of, n_cells, X, p)
         cell_mass = np.bincount(cell_of, weights=p, minlength=n_cells)
         self.weights = mass / cell_mass[self.cell]
         counts = np.bincount(self.cell, minlength=n_cells)
@@ -335,8 +360,7 @@ def conditional_expectation(
     space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
 ) -> AdaptedValue:
     """Probability-weighted mean of X on each cell at time t."""
-    if X.values.size != space.n_atoms:
-        raise DomainError("payoff length does not match atom count")
+    _check_sizes(space, filtration, X)
     cell_of = filtration.cell_of_atom(t)
     p = space.probabilities
     n = filtration.n_cells(t)

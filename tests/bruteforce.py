@@ -1,10 +1,11 @@
 """Per-cell reference implementations, used as test oracles.
 
 Evaluators walk the cells one at a time through `conditional_distribution`
-and the `distribution_*` functions; the structural maps and the checkers are
-the straightforward loops over cells and children; `validate` is the
-set-based structural report and `document_to_text` the writer that renders
-every atom and cell through `dumps_17g`.  The checkers look up
+and the `distribution_*` functions; `merge_ties` is the two-key (cell, value)
+sort that the level laws must line up with; the structural maps and the
+checkers are the straightforward loops over cells and children; `validate`
+is the set-based structural report and `document_to_text` the writer that
+renders every atom and cell through `dumps_17g`.  The checkers look up
 `choquet` and `dcai` on `distrisk.consistency` at call time, so a test that
 replaces those names feeds the library checker and its oracle the same
 values.
@@ -107,6 +108,19 @@ def conditional_expectation(space, filtration, X, t):
         p = space.probabilities[idx]
         out.append(float(X.values[idx] @ p / p.sum()))
     return np.asarray(out)
+
+
+def merge_ties(cell_of, x, p):
+    """Two-key sort of the atoms by (cell, value), then the merge of equal
+    values within a cell: the cell, the value and the total probability of
+    each merged point.  The order `LevelLaws` must reproduce exactly."""
+    order = np.lexsort((x, cell_of))
+    cell = cell_of[order]
+    x = x[order]
+    new = np.ones(x.size, dtype=bool)
+    new[1:] = (cell[1:] != cell[:-1]) | (x[1:] != x[:-1])
+    runs = np.flatnonzero(new)
+    return cell[runs], x[runs], np.add.reduceat(p[order], runs)
 
 
 def lift(filtration, t, cell_values):

@@ -1,10 +1,13 @@
-"""The one-sort-per-level evaluators against the per-cell reference path.
+"""The level-wide evaluators against the per-cell reference path.
 
 Every level-wide evaluator, the structural maps and the linear-time checkers
 must agree with the brute-force versions in `bruteforce.py`: values to
 1e-13 relative (summation order differs), verdicts and witnesses exactly.
+The level laws built from the payoff's kept value order must equal, bit for
+bit, those built with the two-key (cell, value) sort of `bruteforce.py`.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +46,7 @@ from distrisk import (
     var,
 )
 from distrisk import consistency
+from distrisk import space as space_module
 from distrisk.space import conditional_distribution
 
 from conftest import random_measure, random_regular_distortion, random_tree
@@ -171,6 +175,112 @@ class TestLevelLaws:
         space, filtration, _ = tie_heavy_tree()
         with pytest.raises(DomainError, match="payoff length"):
             LevelLaws(space, filtration, RandomVariable(np.zeros(3)), 1)
+
+    def test_filtration_size_mismatch_rejected(self):
+        space = ScenarioSpace([0.25, 0.25, 0.5])
+        filtration = Filtration((((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
+        X = RandomVariable([1.0, 2.0, 3.0])
+        for t in (0, 1):
+            with pytest.raises(DomainError, match="payoff length"):
+                LevelLaws(space, filtration, X, t)
+            with pytest.raises(DomainError, match="payoff length"):
+                conditional_expectation(space, filtration, X, t)
+
+
+LAW_FIELDS = ("cell", "support", "weights", "F", "lo", "start", "stop")
+
+
+def oracle_laws(monkeypatch, space, filtration, X, t):
+    """LevelLaws with its sort replaced by the two-key (cell, value) oracle."""
+    with monkeypatch.context() as m:
+        m.setattr(space_module, "_merge_ties",
+                  lambda cell_of, n_cells, X, p: bruteforce.merge_ties(cell_of, X.values, p))
+        return LevelLaws(space, filtration, X, t)
+
+
+def assert_same_laws(monkeypatch, space, filtration, X):
+    """Every level's laws equal the oracle's bit for bit, signed zeros included."""
+    for t in range(filtration.horizon + 1):
+        got = LevelLaws(space, filtration, X, t)
+        want = oracle_laws(monkeypatch, space, filtration, X, t)
+        for name in LAW_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, (t, name)
+            assert np.array_equal(a, b), (t, name)
+            assert np.array_equal(np.signbit(a), np.signbit(b)), (t, name)
+
+
+def paired_tree(n_cells, gen):
+    """A root, n_cells cells of two atoms each listed in a shuffled order,
+    and the singletons; the payoff takes five values."""
+    n = 2 * n_cells
+    p = gen.random(n) + 0.5
+    pairs = gen.permutation(n).reshape(n_cells, 2).tolist()
+    filtration = Filtration(((tuple(range(n)),), pairs, [(i,) for i in range(n)]))
+    X = RandomVariable(gen.integers(0, 5, size=n).astype(float))
+    return ScenarioSpace(p / p.sum()), filtration, X
+
+
+class TestExactOrder:
+    """The value order kept on the payoff, followed by a stable sort of the
+    cell ids, lines the atoms up exactly as the two-key sort does."""
+
+    def test_fixture_pool_every_level(self, fixture_pool, monkeypatch):
+        for space, filtration, X in fixture_pool:
+            assert_same_laws(monkeypatch, space, filtration, X)
+
+    def test_tie_heavy_tree(self, monkeypatch):
+        assert_same_laws(monkeypatch, *tie_heavy_tree())
+
+    def test_signed_zeros_in_one_cell(self, monkeypatch):
+        values = [0.0, -0.0, 1.0, -0.0, 1.0, 0.0, -0.0, 2.0, 0.0, 1.0, -0.0, 0.0]
+        space = ScenarioSpace(np.full(12, 1.0 / 12))
+        filtration = Filtration((
+            (tuple(range(12)),),
+            ((11, 3, 0, 7, 5, 9), (1, 2, 4, 6, 8, 10)),
+            tuple((i,) for i in range(12)),
+        ))
+        X = RandomVariable(values)
+        assert_same_laws(monkeypatch, space, filtration, X)
+        # the merged zero of each cell keeps the sign of its lowest atom
+        laws = LevelLaws(space, filtration, X, 1)
+        zeros = laws.support == 0.0
+        assert list(laws.cell[zeros]) == [0, 1]
+        assert list(np.signbit(laws.support[zeros])) == [False, True]
+        assert not np.signbit(LevelLaws(space, filtration, X, 0).support[0])
+
+    @pytest.mark.parametrize("n_cells", [1 << 16, (1 << 16) + 1])
+    def test_many_cells(self, n_cells, monkeypatch):
+        # at most 65,536 cells the ids are sorted as uint16, beyond as int32
+        space, filtration, X = paired_tree(n_cells, np.random.default_rng(241))
+        assert_same_laws(monkeypatch, space, filtration, X)
+
+    def test_one_cell(self, monkeypatch):
+        gen = np.random.default_rng(251)
+        n = 5000
+        p = gen.random(n) + 0.5
+        X = RandomVariable(np.round(gen.normal(0.0, 1.0, n), 1))
+        filtration = Filtration(((tuple(gen.permutation(n).tolist()),),))
+        assert_same_laws(monkeypatch, ScenarioSpace(p / p.sum()), filtration, X)
+
+
+class TestValueOrder:
+    def test_read_only_and_computed_once(self):
+        X = RandomVariable([2.0, 1.0, 2.0, -0.0, 0.0, 1.0])
+        order = X.value_order
+        assert X.value_order is order
+        assert list(order) == [3, 4, 1, 5, 0, 2]
+        with pytest.raises(ValueError):
+            order[0] = 1
+
+    def test_fields_equality_and_repr_unchanged(self):
+        assert [f.name for f in dataclasses.fields(RandomVariable)] == ["values"]
+        X = RandomVariable([1.5])
+        before = repr(X)
+        X.value_order
+        assert repr(X) == before == repr(RandomVariable([1.5]))
+        assert X == RandomVariable([1.5])
+        assert X != RandomVariable([2.5])
 
 
 class TestFiltrationArrays:
