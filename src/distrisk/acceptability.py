@@ -17,10 +17,10 @@ from .distortion import DistortionFamily, check_family_monotone
 from .space import (
     DomainError,
     Filtration,
-    LevelLaws,
     RandomVariable,
     ScenarioSpace,
     conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
+    level_laws,
 )
 from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
 
@@ -88,7 +88,7 @@ def dcai(
         report = check_family_monotone(family)
         if not report.monotone_ok:
             raise DomainError("family is not increasing on the probe grid")
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     return AcceptabilityResult(t, tuple(
         _cell_index(laws.support[a:b], laws.F[a:b], family)
         for a, b in zip(laws.start, laws.stop)

@@ -4,13 +4,13 @@ Everything here is exact on finite supports: the distorted-expectation
 evaluator is a sorted cumulative sum, quantiles scan CDF breakpoints, and the
 tail-mean integrals are step integrals with closed-form pieces.  All
 operations return one value per information cell at the requested time; each
-builds the payoff's laws on the whole level (:class:`~distrisk.space.LevelLaws`)
+reads the payoff's laws on the whole level (:class:`~distrisk.space.LevelLaws`)
 and evaluates every cell in the same few array expressions.  A payoff is
-sorted by value once, on first use; each level's laws then take one stable
-pass over the cell ids, so evaluating one payoff again, at any time, does not
-sort its values again.  The ``distribution_*`` functions compute the same
-quantities on one :class:`~distrisk.space.DiscreteDistribution` and serve as
-the per-cell reference.
+sorted by value once, on first use, and keeps the laws of the two levels it
+was last evaluated on (:func:`~distrisk.space.level_laws`), so evaluating it
+again at those levels builds nothing.  The ``distribution_*`` functions
+compute the same quantities on one :class:`~distrisk.space.DiscreteDistribution`
+and serve as the per-cell reference.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .space import (
     RandomVariable,
     ScenarioSpace,
     conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
+    level_laws,
 )
 from .tolerance import CROSS_CHECK_TOL
 
@@ -55,7 +56,7 @@ def choquet(
     """Distortion risk of X given the information at time t, per cell."""
     if not psi.regular:
         raise DomainError("risk evaluation needs a concave continuous distortion")
-    return AdaptedValue(t, _distorted(LevelLaws(space, filtration, X, t), psi))
+    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), psi))
 
 
 def _distorted(laws: LevelLaws, psi: Distortion) -> np.ndarray:
@@ -88,14 +89,14 @@ def _check_alpha_open(alpha: float) -> float:
 def quantile_upper(space, filtration, X, t, alpha) -> AdaptedValue:
     """Upper conditional quantile at level alpha, per cell."""
     alpha = _check_alpha_open(alpha)
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     return AdaptedValue(t, laws.support[laws.first(laws.F > alpha)])
 
 
 def quantile_lower(space, filtration, X, t, alpha) -> AdaptedValue:
     """Lower conditional quantile at level alpha, per cell."""
     alpha = _check_alpha_open(alpha)
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     return AdaptedValue(t, laws.support[laws.first(laws.F >= alpha)])
 
 
@@ -135,7 +136,7 @@ def _tail_mean(laws: LevelLaws, alpha: float) -> np.ndarray:
 
 def avar(space, filtration, X, t, alpha) -> AdaptedValue:
     """Conditional average value at risk at level alpha, per cell."""
-    return AdaptedValue(t, _tail_mean(LevelLaws(space, filtration, X, t), alpha))
+    return AdaptedValue(t, _tail_mean(level_laws(space, filtration, X, t), alpha))
 
 
 def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
@@ -160,7 +161,7 @@ def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
 def avar_robust(space, filtration, X, t, alpha) -> AdaptedValue:
     """Conditional average value at risk via the maximizing density."""
     alpha = _check_alpha_tail(alpha)
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     if alpha == 1.0:
         return AdaptedValue(t, -laws.sum(laws.support * laws.weights))
     q = laws.first(laws.F > alpha)  # the upper quantile's point in each cell
@@ -191,7 +192,7 @@ def dwvar(space, filtration, X, t, mu: DistortionMeasure) -> AdaptedValue:
     if not isinstance(mu, DistortionMeasure):
         raise DomainError("dwvar needs a finitely supported level measure")
     psi = psi_from_measure(mu)
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     v = sum(w * _tail_mean(laws, s) for s, w in zip(mu.support, mu.weights))
     v_alt = _distorted(laws, psi)
     bad = np.abs(v - v_alt) > CROSS_CHECK_TOL * np.maximum(1.0, np.abs(v))
@@ -212,6 +213,6 @@ def min_iid_rho(space, filtration, X, t, k: int) -> AdaptedValue:
     k = int(k)
     if k < 1:
         raise DomainError("copy count must be a positive integer")
-    laws = LevelLaws(space, filtration, X, t)
+    laws = level_laws(space, filtration, X, t)
     F_min = 1.0 - (1.0 - laws.F) ** k
     return AdaptedValue(t, -laws.sum(laws.support * (F_min - laws.shift(F_min))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +165,14 @@ class Filtration:
 
 @dataclass(frozen=True)
 class RandomVariable:
-    """Terminal payoff: one real value per atom."""
+    """Terminal payoff: one real value per atom.
+
+    Besides its values, a payoff keeps what evaluating it costs to work out:
+    its value order (:attr:`value_order`) and the laws of the two levels it
+    was last evaluated on (:func:`level_laws`).  Neither is a field, so the
+    constructor, ``==``, ``repr`` and ``dataclasses.replace`` see only the
+    values, and a replaced payoff starts with nothing kept.
+    """
 
     values: np.ndarray
 
@@ -186,6 +194,12 @@ class RandomVariable:
         order = np.argsort(self.values, kind="stable")
         order.setflags(write=False)
         return order
+
+    @functools.cached_property
+    def _kept_laws(self) -> list:
+        """(space, filtration, t, laws) of the levels last evaluated, the
+        most recent first; kept and evicted by :func:`level_laws`."""
+        return []
 
 
 @dataclass(frozen=True)
@@ -302,8 +316,8 @@ class LevelLaws:
     (:attr:`RandomVariable.value_order`), and one stable pass over the cell
     ids line up each cell's atoms in increasing value order, cell after cell;
     atoms of one cell sharing the exact same value are merged by summing
-    their probabilities.  The laws are kept as flat arrays over the merged
-    points, cell by cell:
+    their probabilities.  The laws are kept as flat read-only arrays over the
+    merged points, cell by cell:
 
     - ``cell``: the cell of each point;
     - ``support``: its value, strictly increasing within a cell;
@@ -315,8 +329,12 @@ class LevelLaws:
     - ``start``, ``stop``: the range of each cell's points.
 
     ``F`` is a separate cumulative sum per cell, so it carries no round-off
-    from earlier cells: cells with equally many points are stacked as the
-    rows of one matrix and summed along the rows.
+    from earlier cells: cells with equally many points are summed along the
+    rows of one matrix, a reshaped view of ``weights`` where those cells sit
+    side by side (a one-cell level, say), else the rows of an index matrix.
+
+    Each construction builds the laws afresh; evaluators get them through
+    :func:`level_laws`, which keeps them on the payoff.
     """
 
     def __init__(
@@ -334,10 +352,19 @@ class LevelLaws:
         self.start = self.stop - counts
         self.F = np.empty_like(self.weights)
         for size in np.flatnonzero(np.bincount(counts)):
-            rows = self.start[counts == size, None] + np.arange(size)
-            self.F[rows] = np.cumsum(self.weights[rows], axis=1)
+            cells = np.flatnonzero(counts == size)
+            if cells[-1] - cells[0] + 1 == cells.size:
+                a, b = self.start[cells[0]], self.stop[cells[-1]]
+                np.cumsum(self.weights[a:b].reshape(-1, size), axis=1,
+                          out=self.F[a:b].reshape(-1, size))
+            else:
+                rows = self.start[cells, None] + np.arange(size)
+                self.F[rows] = np.cumsum(self.weights[rows], axis=1)
         self.F[self.stop - 1] = 1.0
         self.lo = self.shift(self.F)
+        for array in (self.cell, self.support, self.weights, self.F, self.lo,
+                      self.start, self.stop):
+            array.setflags(write=False)
 
     def shift(self, a: np.ndarray) -> np.ndarray:
         """Pointwise values moved one point later within each cell, 0 first."""
@@ -354,6 +381,36 @@ class LevelLaws:
         """Per cell, the first point where a mask that is False then True
         within the cell (like ``F > alpha``) turns True."""
         return self.start + np.add.reduceat(~mask, self.start, dtype=np.intp)
+
+
+KEPT_LEVELS = 2  # every checker, and avar with avar_robust, reads at most two
+
+
+def level_laws(
+    space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
+) -> LevelLaws:
+    """The payoff's :class:`LevelLaws` at time t, built on first use and kept
+    on the payoff.
+
+    A payoff keeps the laws of the ``KEPT_LEVELS`` levels it was most
+    recently evaluated on, each keyed by the identity of the space and of the
+    filtration (both held, so an id cannot be reused) and by t; an equal but
+    distinct space or filtration gets laws of its own.  The arguments are
+    checked before the lookup exactly as a build checks them, so a bad call
+    raises the same error however warm the payoff is.
+    """
+    _check_sizes(space, filtration, X)
+    filtration.cell_of_atom(t)  # a bad t fails here as it fails a build
+    t = operator.index(t)
+    kept = X._kept_laws
+    for i, (s, f, u, laws) in enumerate(kept):
+        if s is space and f is filtration and u == t:
+            kept.insert(0, kept.pop(i))
+            return laws
+    laws = LevelLaws(space, filtration, X, t)
+    kept.insert(0, (space, filtration, t, laws))
+    del kept[KEPT_LEVELS:]
+    return laws
 
 
 def conditional_expectation(

@@ -4,11 +4,14 @@ Every level-wide evaluator, the structural maps and the linear-time checkers
 must agree with the brute-force versions in `bruteforce.py`: values to
 1e-13 relative (summation order differs), verdicts and witnesses exactly.
 The level laws built from the payoff's kept value order must equal, bit for
-bit, those built with the two-key (cell, value) sort of `bruteforce.py`.
+bit, those built with the two-key (cell, value) sort of `bruteforce.py`, and
+every result read from the laws a payoff keeps must equal, bit for bit, the
+result of a fresh build.
 """
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from distrisk import (
     build_nonmiddle_example,
     build_weakacc_continuous,
     build_weakacc_pprime,
+    check_submartingale,
     check_super_strict_failure,
     check_weak_acceptance,
     check_weak_rejection_dcai,
@@ -38,6 +42,7 @@ from distrisk import (
     dirac,
     dwvar,
     lift,
+    middle_rejection_probe,
     min_iid_rho,
     minvar_family,
     pprime_distortion,
@@ -45,9 +50,9 @@ from distrisk import (
     quantile_upper,
     var,
 )
-from distrisk import consistency
+from distrisk import acceptability, consistency, risk
 from distrisk import space as space_module
-from distrisk.space import conditional_distribution
+from distrisk.space import conditional_distribution, level_laws
 
 from conftest import random_measure, random_regular_distortion, random_tree
 
@@ -187,6 +192,29 @@ class TestLevelLaws:
                 conditional_expectation(space, filtration, X, t)
 
 
+    def test_F_is_each_cells_running_sum(self):
+        """F equals each cell's own cumulative sum bit for bit, whether the
+        cells of one size sit side by side (a reshaped view) or not (an
+        index matrix)."""
+        gen = np.random.default_rng(257)
+        n = 5000
+        p = gen.random(n) + 0.5
+        one_cell = (ScenarioSpace(p / p.sum()),
+                    Filtration(((tuple(gen.permutation(n).tolist()),),)),
+                    RandomVariable(np.round(gen.normal(0.0, 1.0, n), 1)))
+        # merged sizes 2, 2, 3, 2: the size-2 cells do not sit side by side
+        mixed = (ScenarioSpace(np.full(9, 1.0 / 9)),
+                 Filtration((((tuple(range(9))),), ((0, 1), (2, 3), (4, 5, 6), (7, 8)))),
+                 RandomVariable(gen.random(9)))
+        for space, filtration, X in (one_cell, mixed, tie_heavy_tree(),
+                                     paired_tree(300, gen)):
+            for t in range(filtration.horizon + 1):
+                laws = LevelLaws(space, filtration, X, t)
+                for a, b in zip(laws.start, laws.stop):
+                    assert np.array_equal(laws.F[a:b - 1], np.cumsum(laws.weights[a:b])[:-1])
+                    assert laws.F[b - 1] == 1.0
+
+
 LAW_FIELDS = ("cell", "support", "weights", "F", "lo", "start", "stop")
 
 
@@ -281,6 +309,171 @@ class TestValueOrder:
         assert repr(X) == before == repr(RandomVariable([1.5]))
         assert X == RandomVariable([1.5])
         assert X != RandomVariable([2.5])
+
+
+def canonical(result):
+    """A result as bytes, exact to the last bit and the sign of zero."""
+    if isinstance(result, consistency.ConsistencyReport):
+        return repr(result)  # floats only, and repr of a float is exact
+    return result.time, np.asarray(result.cell_values, dtype=float).tobytes()
+
+
+def every_call(space, filtration, psi, mu, with_dcai):
+    """Every evaluator at every time and every checker at every pair of
+    times, each as a function of the payoff."""
+    family = minvar_family()
+    calls = []
+    for t in range(filtration.horizon + 1):
+        calls += [
+            lambda X, t=t: choquet(space, filtration, X, t, psi),
+            lambda X, t=t: quantile_upper(space, filtration, X, t, 0.5),
+            lambda X, t=t: quantile_lower(space, filtration, X, t, 0.5),
+            lambda X, t=t: var(space, filtration, X, t, 0.05),
+            lambda X, t=t: avar(space, filtration, X, t, 0.05),
+            lambda X, t=t: avar_robust(space, filtration, X, t, 0.05),
+            lambda X, t=t: dwvar(space, filtration, X, t, mu),
+            lambda X, t=t: min_iid_rho(space, filtration, X, t, 3),
+        ]
+        if not psi.is_identity():
+            calls.append(lambda X, t=t: check_super_strict_failure(space, filtration, X, psi, t))
+        if with_dcai:
+            calls.append(lambda X, t=t: dcai(space, filtration, X, t, family))
+        for s in range(t + 1, filtration.horizon + 1):
+            calls += [
+                lambda X, t=t, s=s: check_submartingale(space, filtration, X, psi, t, s),
+                lambda X, t=t, s=s: check_weak_acceptance(space, filtration, X, psi, t, s),
+                lambda X, t=t, s=s: middle_rejection_probe(space, filtration, X, psi, t, s),
+            ]
+            if with_dcai:
+                calls.append(
+                    lambda X, t=t, s=s: check_weak_rejection_dcai(space, filtration, X, family, t, s)
+                )
+    return calls
+
+
+def assert_cold_warm_fresh_agree(monkeypatch, space, filtration, X, psi, mu, with_dcai):
+    """Each call on a new payoff (cold), repeated on one payoff (warm) and
+    with the laws built afresh on every read (fresh) gives the same bits."""
+    warm = RandomVariable(X.values)
+    for call in every_call(space, filtration, psi, mu, with_dcai):
+        cold = canonical(call(RandomVariable(X.values)))
+        call(warm)
+        assert canonical(call(warm)) == cold
+        with monkeypatch.context() as m:
+            m.setattr(risk, "level_laws", LevelLaws)
+            m.setattr(acceptability, "level_laws", LevelLaws)
+            assert canonical(call(RandomVariable(X.values))) == cold
+
+
+class TestKeptLaws:
+    """The laws a payoff keeps (`level_laws`) against fresh builds."""
+
+    def test_cold_warm_and_fresh_agree_on_pool(self, fixture_pool, monkeypatch):
+        gen = np.random.default_rng(263)
+        for i, (space, filtration, X) in enumerate(fixture_pool[::5]):
+            assert_cold_warm_fresh_agree(
+                monkeypatch, space, filtration, X,
+                random_regular_distortion(gen), random_measure(gen), with_dcai=i < 20,
+            )
+
+    def test_cold_warm_and_fresh_agree_on_ties(self, monkeypatch):
+        space, filtration, X = tie_heavy_tree()
+        gen = np.random.default_rng(269)
+        for k, psi in enumerate((MinVar(2.0), pprime_distortion(3.0), Identity())):
+            assert_cold_warm_fresh_agree(
+                monkeypatch, space, filtration, X, psi, random_measure(gen), with_dcai=k == 0
+            )
+
+    def test_kept_laws_equal_a_fresh_build(self):
+        space, filtration, X = tie_heavy_tree()
+        for t in range(filtration.horizon + 1):
+            got = level_laws(space, filtration, X, t)
+            assert level_laws(space, filtration, X, t) is got
+            want = LevelLaws(space, filtration, X, t)
+            assert want is not got
+            for name in LAW_FIELDS:
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_third_level_evicts_least_recently_used(self):
+        space, filtration, X = tie_heavy_tree()
+        at0 = level_laws(space, filtration, X, 0)
+        at1 = level_laws(space, filtration, X, 1)
+        assert level_laws(space, filtration, X, 0) is at0  # 1 is now the older
+        at2 = level_laws(space, filtration, X, 2)
+        assert level_laws(space, filtration, X, 0) is at0
+        assert level_laws(space, filtration, X, 2) is at2
+        again = level_laws(space, filtration, X, 1)
+        assert again is not at1
+        assert again.support.tobytes() == at1.support.tobytes()
+        assert level_laws(space, filtration, X, 2) is at2  # 0 went, not 2
+        assert level_laws(space, filtration, X, 0) is not at0
+
+    def test_equal_but_distinct_space_or_filtration_misses(self):
+        space, filtration, X = tie_heavy_tree()
+        laws = level_laws(space, filtration, X, 1)
+        same_filtration = Filtration(filtration.partitions)
+        same_space = ScenarioSpace(space.probabilities)
+        for s, f in ((same_space, filtration), (space, same_filtration)):
+            got = level_laws(s, f, X, 1)
+            assert got is not laws
+            assert got.weights.tobytes() == LevelLaws(s, f, X, 1).weights.tobytes()
+        # other probabilities on the same atoms: other laws, the right ones
+        other = ScenarioSpace(space.probabilities[::-1])
+        psi = MinVar(2.0)
+        got = choquet(other, filtration, X, 1, psi).cell_values
+        want = choquet(other, filtration, RandomVariable(X.values), 1, psi).cell_values
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, choquet(space, filtration, X, 1, psi).cell_values)
+
+    def test_kept_arrays_reject_writes(self):
+        space, filtration, X = tie_heavy_tree()
+        laws = level_laws(space, filtration, X, 1)
+        for name in LAW_FIELDS:
+            with pytest.raises(ValueError):
+                getattr(laws, name)[0] = 0
+
+    def test_laws_go_with_the_payoff(self):
+        space, filtration, X = tie_heavy_tree()
+        X = RandomVariable(X.values)
+        ref = weakref.ref(level_laws(space, filtration, X, 1))
+        assert ref() is not None
+        del X
+        assert ref() is None
+
+    def test_fields_equality_repr_and_replace_unchanged(self):
+        space = ScenarioSpace([1.0])
+        filtration = Filtration((((0,),),))
+        X = RandomVariable([1.5])
+        before = repr(X)
+        laws = level_laws(space, filtration, X, 0)
+        assert [f.name for f in dataclasses.fields(RandomVariable)] == ["values"]
+        assert repr(X) == before == repr(RandomVariable([1.5]))
+        assert X == RandomVariable([1.5])
+        assert X != RandomVariable([2.5])
+        copy = dataclasses.replace(X)
+        assert copy == X and repr(copy) == before
+        assert level_laws(space, filtration, copy, 0) is not laws
+        other = dataclasses.replace(X, values=[-2.0])
+        assert repr(other) == repr(RandomVariable([-2.0]))
+        assert list(level_laws(space, filtration, other, 0).support) == [-2.0]
+
+    @pytest.mark.parametrize("t", [1.0, 0.5, -1, 3])
+    def test_bad_time_fails_alike_cold_and_warm(self, t):
+        space, filtration, X = tie_heavy_tree()
+        psi = MinVar(2.0)
+
+        def failure(call):
+            with pytest.raises((DomainError, TypeError)) as info:
+                call()
+            return type(info.value), str(info.value)
+
+        cold = failure(lambda: choquet(space, filtration, X, t, psi))
+        assert failure(lambda: LevelLaws(space, filtration, X, t)) == cold
+        for u in (0, 1):
+            choquet(space, filtration, X, u, psi)
+        assert failure(lambda: choquet(space, filtration, X, t, psi)) == cold
+        assert failure(lambda: level_laws(space, filtration, X, t)) == cold
 
 
 class TestFiltrationArrays:
