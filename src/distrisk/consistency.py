@@ -25,11 +25,13 @@ from .distortion import (
 )
 from .risk import choquet
 from .space import (
+    AdaptedValue,
     DomainError,
     Filtration,
     RandomVariable,
     ScenarioSpace,
     conditional_expectation,
+    level_laws,
     lift,
 )
 from .tolerance import (
@@ -113,7 +115,9 @@ def check_submartingale(
         raise DomainError("need t <= s")
     rho_t = choquet(space, filtration, X, t, psi)
     rho_s = choquet(space, filtration, X, s, psi)
-    mean_later = conditional_expectation(space, filtration, lift(filtration, rho_s), t)
+    # the later risk on atoms, averaged only: no value order is needed
+    later = RandomVariable(rho_s.cell_values[filtration.cell_of_atom(s)])
+    mean_later = conditional_expectation(space, filtration, later, t)
     margins = rho_t.cell_values - mean_later.cell_values
     bad = int(np.argmin(margins))
     witness = None
@@ -136,12 +140,8 @@ def check_super_strict_failure(
     rho_t = choquet(space, filtration, X, t, psi)
     neg_mean = -conditional_expectation(space, filtration, X, t).cell_values
     margins = rho_t.cell_values - neg_mean
-    cell_of = filtration.cell_of_atom(t)
-    low = np.full(margins.size, np.inf)
-    high = np.full(margins.size, -np.inf)
-    np.minimum.at(low, cell_of, X.values)
-    np.maximum.at(high, cell_of, X.values)
-    constant = low == high
+    laws = level_laws(space, filtration, X, t)  # kept by choquet above
+    constant = laws.stop - laws.start == 1  # one merged point
     ok = np.where(constant, np.abs(margins) <= LEQ_TOL, margins > LEQ_TOL)
     witness = None
     if not np.all(ok):
@@ -208,6 +208,11 @@ def check_weak_rejection_dcai(
     return _report("dcai_weak_rejection", t, s, a_t, witness)
 
 
+def _paid_out(filtration, rho) -> RandomVariable:
+    """The payoff that pays the risk rho out as cash: -rho lifted onto atoms."""
+    return lift(filtration, AdaptedValue(rho.time, -rho.cell_values))
+
+
 def middle_rejection_probe(
     space, filtration, X, psi: Distortion, t: int, s: int
 ) -> ConsistencyReport:
@@ -219,8 +224,7 @@ def middle_rejection_probe(
     """
     if t >= s:
         raise DomainError("need t < s")
-    rho_s = choquet(space, filtration, X, s, psi)
-    Y = RandomVariable(-lift(filtration, rho_s).values)
+    Y = _paid_out(filtration, choquet(space, filtration, X, s, psi))
     rho_t_x = choquet(space, filtration, X, t, psi).cell_values
     rho_t_y = choquet(space, filtration, Y, t, psi).cell_values
     margins = rho_t_x - rho_t_y
@@ -256,11 +260,8 @@ def build_nonmiddle_example() -> Counterexample:
         "rho_0": [math.sqrt(3.0) - 1.0],
     }
     ce = Counterexample("nonmiddle", space, filtration, X, psi, expected, ANALYTIC_TOL)
-    rho_0_Y = choquet(
-        space, filtration,
-        RandomVariable(-lift(filtration, choquet(space, filtration, X, 1, psi)).values),
-        0, psi,
-    ).cell_values[0]
+    Y = _paid_out(filtration, ce.computed["rho_1"])
+    rho_0_Y = choquet(space, filtration, Y, 0, psi).cell_values[0]
     if abs(rho_0_Y - (2.0 * math.sqrt(2.0) - 2.0)) > ANALYTIC_TOL:
         raise AssertionError("nonmiddle: witness risk mismatch")
     return ce

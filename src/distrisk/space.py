@@ -171,7 +171,8 @@ class RandomVariable:
     its value order (:attr:`value_order`) and the laws of the two levels it
     was last evaluated on (:func:`level_laws`).  Neither is a field, so the
     constructor, ``==``, ``repr`` and ``dataclasses.replace`` see only the
-    values, and a replaced payoff starts with nothing kept.
+    values, and a replaced payoff starts with nothing kept.  A lifted
+    payoff comes with its value order (:func:`lift`).
     """
 
     values: np.ndarray
@@ -426,10 +427,26 @@ def conditional_expectation(
 
 
 def lift(filtration: Filtration, adapted: AdaptedValue) -> RandomVariable:
-    """Spread an adapted value back onto atoms (constant on each cell)."""
-    if adapted.cell_values.size != filtration.n_cells(adapted.time):
+    """Spread an adapted value back onto atoms (constant on each cell).
+
+    The payoff comes with its value order, ``np.argsort(values,
+    kind="stable")`` exactly: the atoms stably sorted by the dense rank of
+    their cell value (``-0.0`` ties ``0.0``), as uint16 up to 65,536 ranks."""
+    v = adapted.cell_values
+    if v.size != filtration.n_cells(adapted.time):
         raise DomainError("cell value count does not match partition")
-    return RandomVariable(adapted.cell_values[filtration.cell_of_atom(adapted.time)])
+    cell_of = filtration.cell_of_atom(adapted.time)
+    X = RandomVariable(v[cell_of])  # non-finite values fail here, before any sort
+    by_value = np.argsort(v, kind="stable")
+    ascending = v[by_value]
+    rank = np.empty(v.size, dtype=np.intp)
+    rank[by_value] = np.cumsum(np.concatenate(([0], ascending[1:] != ascending[:-1])))
+    if rank.max() < 1 << 16:  # numpy sorts uint16 keys by radix
+        rank = rank.astype(np.uint16)
+    order = np.argsort(rank[cell_of], kind="stable")
+    order.setflags(write=False)
+    object.__setattr__(X, "value_order", order)  # what the cached property would hold
+    return X
 
 
 def _level_arrays(level):

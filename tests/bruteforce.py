@@ -3,12 +3,13 @@
 Evaluators walk the cells one at a time through `conditional_distribution`
 and the `distribution_*` functions; `merge_ties` is the two-key (cell, value)
 sort that the level laws must line up with; the structural maps and the
-checkers are the straightforward loops over cells and children; `validate`
-is the set-based structural report and `document_to_text` the writer that
-renders every atom and cell through `dumps_17g`.  The checkers look up
-`choquet` and `dcai` on `distrisk.consistency` at call time, so a test that
-replaces those names feeds the library checker and its oracle the same
-values.
+checkers are the straightforward loops over cells and children, and the
+sub-martingale and middle-rejection checks take every risk from the per-cell
+laws; `validate` is the set-based structural report and `document_to_text`
+the writer that renders every atom and cell through `dumps_17g`.  The other
+checkers look up `choquet` and `dcai` on `distrisk.consistency` at call
+time, so a test that replaces those names feeds the library checker and its
+oracle the same values.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from distrisk import consistency
-from distrisk.consistency import LEQ_TOL, ConsistencyReport
+from distrisk.consistency import LEQ_TOL, SUBMARTINGALE_TOL, ConsistencyReport
 from distrisk.risk import (
     distribution_avar,
     distribution_avar_robust,
@@ -27,7 +28,7 @@ from distrisk.risk import (
     distribution_quantile_lower,
     distribution_quantile_upper,
 )
-from distrisk.space import RENORM_WINDOW, conditional_distribution
+from distrisk.space import RENORM_WINDOW, RandomVariable, conditional_distribution
 from distrisk.treedoc import SCHEMA_VERSION, dumps_17g
 
 
@@ -160,6 +161,41 @@ def check_super_strict_failure(space, filtration, X, psi, t):
     return ConsistencyReport(
         "super_strict_failure", t, None, tuple(float(m) for m in margins),
         verdict, witness,
+    )
+
+
+def check_submartingale(space, filtration, X, psi, t, s):
+    rho_t = choquet(laws(space, filtration, X, t), psi)
+    rho_s = choquet(laws(space, filtration, X, s), psi)
+    later = RandomVariable(lift(filtration, s, rho_s))
+    margins = rho_t - conditional_expectation(space, filtration, later, t)
+    bad = min(range(margins.size), key=lambda k: margins[k])
+    witness = None
+    if not margins[bad] >= -SUBMARTINGALE_TOL:
+        witness = {"cell": bad, "margin": float(margins[bad])}
+    return ConsistencyReport(
+        "submartingale", t, s, tuple(float(m) for m in margins),
+        "holds" if witness is None else "violated", witness,
+    )
+
+
+def middle_rejection_probe(space, filtration, X, psi, t, s):
+    rho_s = choquet(laws(space, filtration, X, s), psi)
+    Y = RandomVariable(lift(filtration, s, -rho_s))
+    rho_t_x = choquet(laws(space, filtration, X, t), psi)
+    rho_t_y = choquet(laws(space, filtration, Y, t), psi)
+    margins = rho_t_x - rho_t_y
+    bad = min(range(margins.size), key=lambda k: margins[k])
+    witness = None
+    if margins[bad] < -LEQ_TOL:
+        witness = {
+            "cell": bad,
+            "rho_t_X": float(rho_t_x[bad]),
+            "rho_t_Y": float(rho_t_y[bad]),
+        }
+    return ConsistencyReport(
+        "middle_rejection", t, s, tuple(float(m) for m in margins),
+        "holds" if witness is None else "violated", witness,
     )
 
 

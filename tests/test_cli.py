@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import distrisk
 from distrisk import build_nonmiddle_example, build_weakacc_pprime
 from distrisk.cli import main, parse_distortion, parse_family, parse_measure, SpecError
 from distrisk.treedoc import (
@@ -228,6 +233,28 @@ class TestCheck:
         )
         assert code == 0
         assert rep["results"]["verdict"] == "violated"
+
+    def test_checks_never_load_masked_arrays(self, nonmiddle_path):
+        """One process running evaluate and the middle-rejection and
+        super-strict checks never imports numpy.ma (about 11 ms and 0.5 MB
+        on first import)."""
+        script = f"""
+import contextlib, io, sys
+from distrisk.cli import main
+tree = {nonmiddle_path!r}
+law = [tree, "--payoff", "X2", "--distortion", "prop_hazard:0.5", "--t", "0"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["evaluate", *law]),
+             main(["check", *law, "--property", "middle-rejection", "--s", "1"]),
+             main(["check", *law, "--property", "super-strict"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+        src = str(Path(distrisk.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 0, 0] False\n"
 
     def test_expectation_mismatch_fails(self, capsys, nonmiddle_path):
         code, _ = run(

@@ -311,6 +311,81 @@ class TestValueOrder:
         assert X != RandomVariable([2.5])
 
 
+def assert_lifted_order(filtration, t, cell_values):
+    """A lifted payoff's order is the stable float argsort of its values."""
+    Y = lift(filtration, AdaptedValue(t, cell_values))
+    want = np.argsort(Y.values, kind="stable")
+    assert Y.value_order.dtype == want.dtype
+    assert np.array_equal(Y.value_order, want), (t, cell_values)
+    assert not Y.value_order.flags.writeable
+    return Y
+
+
+class TestLiftedValueOrder:
+    """`lift` sorts the cell values, not the atoms, and gets the same order."""
+
+    def test_fixture_pool_every_level(self, fixture_pool):
+        gen = np.random.default_rng(271)
+        for space, filtration, X in fixture_pool:
+            for t in range(filtration.horizon + 1):
+                mean = conditional_expectation(space, filtration, X, t).cell_values
+                n = mean.size
+                for values in (mean, np.round(mean), gen.integers(-1, 2, n) * 0.0,
+                               gen.integers(-2, 3, n).astype(float)):
+                    assert_lifted_order(filtration, t, values)
+
+    def test_equal_values_in_different_cells(self):
+        space, filtration, _ = tie_heavy_tree()
+        for values in ([1.0, 2.0, 1.0, 2.0, 1.0], [3.0] * 5, [5.0, 4.0, 3.0, 2.0, 1.0]):
+            assert_lifted_order(filtration, 1, np.asarray(values))
+
+    def test_signed_zeros_in_neighbouring_cells(self):
+        filtration = Filtration((
+            (tuple(range(6)),),
+            ((4, 1), (0, 5), (3,), (2,)),
+            tuple((i,) for i in range(6)),
+        ))
+        Y = assert_lifted_order(filtration, 1, np.asarray([-0.0, 0.0, -1.0, -0.0]))
+        assert list(Y.value_order) == [3, 0, 1, 2, 4, 5]
+        assert list(np.signbit(Y.values)) == [False, True, True, True, True, False]
+
+    @pytest.mark.parametrize("n_values", [1 << 16, (1 << 16) + 1])
+    def test_many_distinct_values(self, n_values):
+        # up to 65,536 distinct values the ranks are sorted as uint16, beyond wider
+        gen = np.random.default_rng(277)
+        _, filtration, _ = paired_tree(n_values + 5, gen)
+        values = gen.permutation(np.linspace(-1.0, 1.0, n_values))
+        values = np.concatenate([values, values[:5]])  # five values twice
+        assert_lifted_order(filtration, 1, values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_fail_before_any_sort(self, bad, monkeypatch):
+        _, filtration, _ = tie_heavy_tree()
+        values = np.asarray([0.0, 1.0, bad, 2.0, 3.0])
+        with pytest.raises(DomainError) as want:
+            RandomVariable(values[filtration.cell_of_atom(1)])
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted before the values were checked")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        with pytest.raises(DomainError) as got:
+            lift(filtration, AdaptedValue(1, values))
+        assert str(got.value) == str(want.value)
+
+    def test_fields_equality_repr_and_replace_unchanged(self):
+        filtration = Filtration((((0, 1),), ((0,), (1,))))
+        Y = lift(filtration, AdaptedValue(1, [1.5, -1.5]))
+        assert [f.name for f in dataclasses.fields(Y)] == ["values"]
+        assert repr(Y) == repr(RandomVariable([1.5, -1.5]))
+        copy = dataclasses.replace(Y)
+        assert repr(copy) == repr(Y)
+        assert copy.value_order is not Y.value_order
+        assert np.array_equal(copy.value_order, Y.value_order)
+        one = lift(Filtration((((0,),),)), AdaptedValue(0, [1.5]))
+        assert one == RandomVariable([1.5]) and one != RandomVariable([2.5])
+
+
 def canonical(result):
     """A result as bytes, exact to the last bit and the sign of zero."""
     if isinstance(result, consistency.ConsistencyReport):
@@ -458,6 +533,38 @@ class TestKeptLaws:
         assert repr(other) == repr(RandomVariable([-2.0]))
         assert list(level_laws(space, filtration, other, 0).support) == [-2.0]
 
+    def test_checkers_cold_warm_and_fresh_agree(self, fixture_pool, monkeypatch):
+        """The checkers that read a level's laws directly (super-strict) or
+        lift a risk with its value order (middle rejection), and the
+        sub-martingale check, give the same bits cold, warm and fresh; fresh
+        here also builds every law afresh in `consistency` and lifts without
+        the cell-value order."""
+        def unordered_lift(filtration, adapted):
+            return RandomVariable(adapted.cell_values[filtration.cell_of_atom(adapted.time)])
+
+        gen = np.random.default_rng(281)
+        trees = list(fixture_pool[::10]) + [tie_heavy_tree()]
+        for space, filtration, X in trees:
+            psi = random_regular_distortion(gen)
+            H = filtration.horizon
+            calls = [lambda Y, t=t, s=s: middle_rejection_probe(space, filtration, Y, psi, t, s)
+                     for t in range(H) for s in range(t + 1, H + 1)]
+            calls += [lambda Y, t=t, s=s: check_submartingale(space, filtration, Y, psi, t, s)
+                      for t in range(H) for s in range(t + 1, H + 1)]
+            if not psi.is_identity():
+                calls += [lambda Y, t=t: check_super_strict_failure(space, filtration, Y, psi, t)
+                          for t in range(H + 1)]
+            warm = RandomVariable(X.values)
+            for call in calls:
+                cold = canonical(call(RandomVariable(X.values)))
+                call(warm)
+                assert canonical(call(warm)) == cold
+                with monkeypatch.context() as m:
+                    for module in (risk, acceptability, consistency):
+                        m.setattr(module, "level_laws", LevelLaws)
+                    m.setattr(consistency, "lift", unordered_lift)
+                    assert canonical(call(RandomVariable(X.values))) == cold
+
     @pytest.mark.parametrize("t", [1.0, 0.5, -1, 3])
     def test_bad_time_fails_alike_cold_and_warm(self, t):
         space, filtration, X = tie_heavy_tree()
@@ -550,6 +657,71 @@ class TestCheckersMatchBruteForce:
                         check_super_strict_failure(space, filtration, Y, psi, t),
                         bruteforce.check_super_strict_failure(space, filtration, Y, psi, t),
                     )
+
+    def assert_near(self, got, want):
+        """Same verdict and witness cell; margins and witness risks equal up
+        to the round-off of summing per cell instead of per level."""
+        assert_close(got.margins, want.margins)
+        assert got.verdict == want.verdict
+        assert (got.witness is None) == (want.witness is None)
+        if got.witness is not None:
+            assert got.witness.keys() == want.witness.keys()
+            assert got.witness["cell"] == want.witness["cell"]
+            for key in got.witness.keys() - {"cell"}:
+                assert_close(got.witness[key], want.witness[key])
+
+    def test_submartingale_and_middle_rejection_on_pool(self, fixture_pool):
+        gen = np.random.default_rng(283)
+        seen = set()
+        for space, filtration, X in fixture_pool:
+            psi = random_regular_distortion(gen)
+            for t in range(filtration.horizon):
+                for s in range(t + 1, filtration.horizon + 1):
+                    for Y in (X, RandomVariable(np.round(X.values))):
+                        for checker in ("check_submartingale", "middle_rejection_probe"):
+                            got = getattr(consistency, checker)(space, filtration, Y, psi, t, s)
+                            want = getattr(bruteforce, checker)(space, filtration, Y, psi, t, s)
+                            self.assert_near(got, want)
+                            seen.add((checker, got.verdict))
+        assert seen >= {("middle_rejection_probe", "violated"),
+                        ("middle_rejection_probe", "holds"),
+                        ("check_submartingale", "holds")}
+
+    def test_super_strict_constant_cells(self, monkeypatch):
+        """A cell is constant when its atoms share one value: a one-atom
+        cell, a cell of equal values and a cell of -0.0 and 0.0 are; the
+        flag of each cell's witness matches the oracle's."""
+        values = [-0.0, 2.0, 1.0, 2.0, 0.0, 3.0, 2.0, 5.0, -0.0]
+        space = ScenarioSpace(np.linspace(1.0, 2.0, 9) / 13.5)
+        filtration = Filtration((
+            (tuple(range(9)),),
+            ((2,), (6, 1, 3), (8, 0, 4), (5, 7)),
+            tuple((i,) for i in range(9)),
+        ))
+        X = RandomVariable(values)
+        psi = MinVar(2.0)
+        got = check_super_strict_failure(space, filtration, X, psi, 1)
+        self.assert_same(got, bruteforce.check_super_strict_failure(space, filtration, X, psi, 1))
+        assert got.verdict == "holds"
+        constant = [True, True, True, False]
+        neg_mean = -conditional_expectation(space, filtration, X, 1).cell_values
+        real_choquet = consistency.choquet
+        for k in range(4):
+            # every cell passes but cell k, which fails as its kind can
+            rho = neg_mean + np.where(constant, 0.0, 1.0)
+            rho[k] += 1.0 if constant[k] else -2.0
+
+            def fake_choquet(space, filtration, X, t, psi):
+                real_choquet(space, filtration, X, t, psi)
+                return AdaptedValue(t, rho)
+
+            with monkeypatch.context() as m:
+                m.setattr(consistency, "choquet", fake_choquet)
+                got = check_super_strict_failure(space, filtration, X, psi, 1)
+                want = bruteforce.check_super_strict_failure(space, filtration, X, psi, 1)
+            self.assert_same(got, want)
+            assert got.witness["cell"] == k
+            assert got.witness["constant"] is constant[k]
 
     def test_weak_acceptance_on_pool(self, fixture_pool):
         gen = np.random.default_rng(233)
