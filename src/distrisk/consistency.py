@@ -23,11 +23,12 @@ from .distortion import (
     pprime_distortion,
     psi_from_measure,
 )
-from .risk import choquet
+from .risk import _distorted, choquet
 from .space import (
     AdaptedValue,
     DomainError,
     Filtration,
+    LevelLaws,
     RandomVariable,
     ScenarioSpace,
     conditional_expectation,
@@ -110,15 +111,21 @@ class Counterexample:
 def check_submartingale(
     space, filtration, X, psi: Distortion, t: int, s: int
 ) -> ConsistencyReport:
-    """Earlier risk must dominate the conditional mean of later risk."""
+    """Earlier risk must dominate the conditional mean of later risk.
+
+    The later risk is constant on each s-cell, so its mean on a t-cell is
+    the mass-weighted mean of the risks of the s-cells it holds: the cost
+    scales with the s-cells, not the atoms.
+    """
     if t > s:
         raise DomainError("need t <= s")
     rho_t = choquet(space, filtration, X, t, psi)
     rho_s = choquet(space, filtration, X, s, psi)
-    # the later risk on atoms, averaged only: no value order is needed
-    later = RandomVariable(rho_s.cell_values[filtration.cell_of_atom(s)])
-    mean_later = conditional_expectation(space, filtration, later, t)
-    margins = rho_t.cell_values - mean_later.cell_values
+    mass = level_laws(space, filtration, X, s).mass  # kept by choquet above
+    parent = filtration.parent(t, s)
+    n = rho_t.cell_values.size
+    later = np.bincount(parent, weights=rho_s.cell_values * mass, minlength=n)
+    margins = rho_t.cell_values - later / np.bincount(parent, weights=mass, minlength=n)
     bad = int(np.argmin(margins))
     witness = None
     if not margins[bad] >= -SUBMARTINGALE_TOL:
@@ -208,25 +215,27 @@ def check_weak_rejection_dcai(
     return _report("dcai_weak_rejection", t, s, a_t, witness)
 
 
-def _paid_out(filtration, rho) -> RandomVariable:
-    """The payoff that pays the risk rho out as cash: -rho lifted onto atoms."""
-    return lift(filtration, AdaptedValue(rho.time, -rho.cell_values))
-
-
 def middle_rejection_probe(
     space, filtration, X, psi: Distortion, t: int, s: int
 ) -> ConsistencyReport:
     """Probe with the canonical witness: the later risk paid out as cash.
 
-    Y is the negated later risk spread over atoms, so X and Y carry the same
-    risk at time s.  A negative margin rho_t(X) - rho_t(Y) on some cell
-    certifies that equal later risk does not force equal earlier risk.
+    Y is the negated later risk, constant on each s-cell, so X and Y carry
+    the same risk at time s.  A negative margin rho_t(X) - rho_t(Y) on some
+    cell certifies that equal later risk does not force equal earlier risk.
+    Y's laws at t are built from the s-cell values and masses, grouped by
+    the t-cell holding each s-cell: the cost scales with the s-cells, not
+    the atoms.
     """
     if t >= s:
         raise DomainError("need t < s")
-    Y = _paid_out(filtration, choquet(space, filtration, X, s, psi))
+    rho_s = choquet(space, filtration, X, s, psi)
     rho_t_x = choquet(space, filtration, X, t, psi).cell_values
-    rho_t_y = choquet(space, filtration, Y, t, psi).cell_values
+    paid_out = LevelLaws.grouped(  # Y's laws at t, one item per s-cell
+        filtration.parent(t, s), rho_t_x.size, RandomVariable(-rho_s.cell_values),
+        level_laws(space, filtration, X, s).mass,  # kept by choquet above
+    )
+    rho_t_y = _distorted(paid_out, psi)
     margins = rho_t_x - rho_t_y
     bad = int(np.argmin(margins))
     witness = None
@@ -260,7 +269,7 @@ def build_nonmiddle_example() -> Counterexample:
         "rho_0": [math.sqrt(3.0) - 1.0],
     }
     ce = Counterexample("nonmiddle", space, filtration, X, psi, expected, ANALYTIC_TOL)
-    Y = _paid_out(filtration, ce.computed["rho_1"])
+    Y = lift(filtration, AdaptedValue(1, -ce.computed["rho_1"].cell_values))
     rho_0_Y = choquet(space, filtration, Y, 0, psi).cell_values[0]
     if abs(rho_0_Y - (2.0 * math.sqrt(2.0) - 2.0)) > ANALYTIC_TOL:
         raise AssertionError("nonmiddle: witness risk mismatch")

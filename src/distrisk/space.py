@@ -288,26 +288,26 @@ def conditional_distribution(
     return DiscreteDistribution(np.asarray(support), w)
 
 
-def _merge_ties(cell_of: np.ndarray, n_cells: int, X: RandomVariable, p: np.ndarray):
-    """Line up the atoms by (cell, value) and merge equal values within a cell:
-    the cell, the value and the total probability of each merged point.
+def _merge_ties(group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.ndarray):
+    """Line up the items by (group, value) and merge equal values within a
+    group: the group, the value and the total mass of each merged point.
 
-    A stable sort of the cell ids along the payoff's value order keeps each
-    cell's atoms in value order, ties in atom order: the same permutation as
-    a two-key sort by (cell, value).  Up to 65,536 cells the ids are narrowed
-    to uint16, which numpy sorts by radix."""
+    A stable sort of the group ids along the value order kept on ``X`` keeps
+    each group's items in value order, ties in item order: the same
+    permutation as a two-key sort by (group, value).  Up to 65,536 groups the
+    ids are narrowed to uint16, which numpy sorts by radix."""
     order = X.value_order
-    if n_cells > 1:
-        ids = cell_of[order]
-        if n_cells <= 1 << 16:
+    if n_groups > 1:
+        ids = group[order]
+        if n_groups <= 1 << 16:
             ids = ids.astype(np.uint16)
         order = order[np.argsort(ids, kind="stable")]
-    cell = cell_of[order]
+    cell = group[order]
     x = X.values[order]
     new = np.ones(x.size, dtype=bool)
     new[1:] = (cell[1:] != cell[:-1]) | (x[1:] != x[:-1])
     runs = np.flatnonzero(new)
-    return cell[runs], x[runs], np.add.reduceat(p[order], runs)
+    return cell[runs], x[runs], np.add.reduceat(mass[order], runs)
 
 
 class LevelLaws:
@@ -327,6 +327,10 @@ class LevelLaws:
       cell's last point;
     - ``lo``: the left end of the point's level interval, that is ``F`` of
       the previous point of the same cell, 0 at a cell's first point;
+
+    and over the cells:
+
+    - ``mass``: the probability of each cell;
     - ``start``, ``stop``: the range of each cell's points.
 
     ``F`` is a separate cumulative sum per cell, so it carries no round-off
@@ -335,20 +339,36 @@ class LevelLaws:
     side by side (a one-cell level, say), else the rows of an index matrix.
 
     Each construction builds the laws afresh; evaluators get them through
-    :func:`level_laws`, which keeps them on the payoff.
+    :func:`level_laws`, which keeps them on the payoff.  :meth:`grouped`
+    builds the same laws from values given per item of any grouping, such
+    as a later risk given per s-cell and grouped by the t-cell holding each
+    s-cell, at a cost that scales with the items, not the atoms.
     """
 
     def __init__(
         self, space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
     ) -> None:
         _check_sizes(space, filtration, X)
-        cell_of = filtration.cell_of_atom(t)
-        p = space.probabilities
-        n_cells = filtration.n_cells(t)
-        self.cell, self.support, mass = _merge_ties(cell_of, n_cells, X, p)
-        cell_mass = np.bincount(cell_of, weights=p, minlength=n_cells)
-        self.weights = mass / cell_mass[self.cell]
-        counts = np.bincount(self.cell, minlength=n_cells)
+        self._build(filtration.cell_of_atom(t), filtration.n_cells(t), X,
+                    space.probabilities)
+
+    @classmethod
+    def grouped(
+        cls, group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.ndarray
+    ) -> LevelLaws:
+        """The laws of the values of ``X``, one per item with probability
+        ``mass``, on each of ``n_groups`` cells made of the items with that
+        ``group`` id: the laws of a payoff constant on the items, such as the
+        s-cells of a later level, on the level they refine."""
+        laws = cls.__new__(cls)
+        laws._build(group, n_groups, X, mass)
+        return laws
+
+    def _build(self, group, n_groups, X, mass) -> None:
+        self.cell, self.support, point_mass = _merge_ties(group, n_groups, X, mass)
+        self.mass = np.bincount(group, weights=mass, minlength=n_groups)
+        self.weights = point_mass / self.mass[self.cell]
+        counts = np.bincount(self.cell, minlength=n_groups)
         self.stop = np.cumsum(counts)
         self.start = self.stop - counts
         self.F = np.empty_like(self.weights)
@@ -364,7 +384,7 @@ class LevelLaws:
         self.F[self.stop - 1] = 1.0
         self.lo = self.shift(self.F)
         for array in (self.cell, self.support, self.weights, self.F, self.lo,
-                      self.start, self.stop):
+                      self.mass, self.start, self.stop):
             array.setflags(write=False)
 
     def shift(self, a: np.ndarray) -> np.ndarray:

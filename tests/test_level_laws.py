@@ -25,6 +25,7 @@ from distrisk import (
     Identity,
     LevelLaws,
     MinVar,
+    ProportionalHazard,
     RandomVariable,
     ScenarioSpace,
     avar,
@@ -53,6 +54,7 @@ from distrisk import (
 from distrisk import acceptability, consistency, risk
 from distrisk import space as space_module
 from distrisk.space import conditional_distribution, level_laws
+from distrisk.tolerance import ANALYTIC_TOL
 
 from conftest import random_measure, random_regular_distortion, random_tree
 
@@ -793,3 +795,202 @@ class TestCheckersMatchBruteForce:
                             space, filtration, X, None, t, s))
                         seen.add(("weak_rejection", got.verdict))
         assert len(seen) == 4
+
+
+def later_cells_tree():
+    """Ten atoms over four levels.  At s=2 the cells are listed out of the
+    order of their t=1 parents, and the parent (3, 6) has a single child;
+    the singletons at s=3 are listed in reverse.  Under any distortion the
+    first t=1 cell holds two s=2 cells of equal risk (-1.25) and two of risk
+    0.0 and -0.0: (5,) pays -0.0 and (2, 9) pays 0.0."""
+    probs = np.linspace(1.0, 2.0, 10)
+    space = ScenarioSpace(probs / probs.sum())
+    filtration = Filtration((
+        ((3, 8, 0, 9, 1, 7, 2, 6, 4, 5),),
+        ((9, 2, 5, 0, 7), (4, 1, 8), (3, 6)),
+        ((7,), (4, 1), (2, 9), (8,), (0,), (5,), (3, 6)),
+        tuple((i,) for i in range(9, -1, -1)),
+    ))
+    X = RandomVariable([1.25, -1.0, 0.0, 2.0, 3.0, -0.0, -2.0, 1.25, 0.5, 0.0])
+    return space, filtration, X
+
+
+def feed_risks(monkeypatch, X, values):
+    """Give the payoff X the risks values[t] at each time t, in the library
+    checkers and in their per-cell oracles alike; any other payoff (the
+    oracles' lifted Y) keeps the risks computed from its laws."""
+    real, real_laws, real_choquet = consistency.choquet, bruteforce.laws, bruteforce.choquet
+
+    def library_choquet(space, filtration, Y, t, psi):
+        return AdaptedValue(t, values[t]) if Y is X else real(space, filtration, Y, t, psi)
+
+    def oracle_choquet(args, psi):
+        return values[args[3]] if args[2] is X else real_choquet(real_laws(*args), psi)
+
+    monkeypatch.setattr(consistency, "choquet", library_choquet)
+    monkeypatch.setattr(bruteforce, "laws", lambda *args: args)
+    monkeypatch.setattr(bruteforce, "choquet", oracle_choquet)
+
+
+def oracle_paid_out_risk(space, filtration, psi, t, s, rho_s):
+    """rho_t of the later risk rho_s paid out as cash, on the per-cell path."""
+    Y = RandomVariable(bruteforce.lift(filtration, s, -np.asarray(rho_s)))
+    return bruteforce.choquet(bruteforce.laws(space, filtration, Y, t), psi)
+
+
+class TestLaterCellCheckers:
+    """The sub-martingale and middle-rejection checks, which read the later
+    risk per s-cell, against the per-atom oracles: margins to `REL_TOL`,
+    verdicts and witness cells exactly."""
+
+    assert_near = TestCheckersMatchBruteForce.assert_near
+    PSIS = (MinVar(2.0), ProportionalHazard(0.5), pprime_distortion(3.0), Identity())
+
+    def assert_both_near(self, space, filtration, X, psi, t, s):
+        for checker in ("check_submartingale", "middle_rejection_probe"):
+            if checker == "middle_rejection_probe" and t == s:
+                continue
+            got = getattr(consistency, checker)(space, filtration, X, psi, t, s)
+            self.assert_near(got, getattr(bruteforce, checker)(space, filtration, X, psi, t, s))
+
+    def test_horizon_and_equal_times_on_pool(self, fixture_pool):
+        # s = horizon has one s-cell per atom; t = s averages each cell alone
+        gen = np.random.default_rng(307)
+        for space, filtration, X in fixture_pool[::2]:
+            psi = random_regular_distortion(gen)
+            H = filtration.horizon
+            for t in range(H + 1):
+                self.assert_both_near(space, filtration, X, psi, t, H)
+                self.assert_both_near(space, filtration, X, psi, t, t)
+
+    def test_ties_signed_zeros_and_out_of_order_cells(self):
+        space, filtration, X = later_cells_tree()
+        H = filtration.horizon
+        for psi in self.PSIS:
+            for t in range(H + 1):
+                for s in range(t, H + 1):
+                    self.assert_both_near(space, filtration, X, psi, t, s)
+
+    def test_sibling_risks_merge_into_one_point(self):
+        space, filtration, X = later_cells_tree()
+        for psi in self.PSIS:
+            rho_s = choquet(space, filtration, X, 2, psi).cell_values
+            assert rho_s[0] == rho_s[4] == -1.25  # (7,) and (0,)
+            assert rho_s[2] == rho_s[5] == 0.0  # (2, 9) and (5,)
+            assert np.signbit(rho_s[2]) and not np.signbit(rho_s[5])
+            paid_out = RandomVariable(-rho_s)
+            got = LevelLaws.grouped(filtration.parent(1, 2), 3, paid_out,
+                                    level_laws(space, filtration, X, 2).mass)
+            lifted = LevelLaws(space, filtration, lift(filtration, AdaptedValue(2, -rho_s)), 1)
+            # cell (9, 2, 5, 0, 7): four s-cells, two points, 0 and 1.25
+            assert list(got.support[got.start[0]:got.stop[0]]) == [0.0, 1.25]
+            assert list(got.stop - got.start) == [2, 2, 1]
+            assert np.array_equal(got.cell, lifted.cell)
+            assert np.array_equal(got.support, lifted.support)
+            for name in ("weights", "F", "lo", "mass"):
+                assert_close(getattr(got, name), getattr(lifted, name))
+            assert np.array_equal(got.start, lifted.start)
+            assert np.array_equal(got.stop, lifted.stop)
+            assert got.mass.tobytes() == np.bincount(
+                filtration.parent(1, 2), weights=level_laws(space, filtration, X, 2).mass,
+                minlength=3).tobytes()
+
+    def test_injected_later_risks(self, monkeypatch):
+        """Later risks with ties and signed zeros fed to both checkers and
+        their oracles; the earlier risks put one cell clearly below the
+        bound, so the witness paths run, or every cell above it."""
+        gen = np.random.default_rng(311)
+        pool = np.asarray([-1.0, -0.0, 0.0, 0.25, 0.25, 2.0])
+        trees = [later_cells_tree()[:2], tie_heavy_tree()[:2]]
+        trees += [random_tree(gen, max_atoms=9) for _ in range(20)]
+        psi = MinVar(2.0)
+        seen = set()
+        for space, filtration in trees:
+            X = RandomVariable(np.zeros(space.n_atoms))
+            H = filtration.horizon
+            for t in range(H):
+                for s in range(t + 1, H + 1):
+                    rho_s = pool[gen.integers(0, pool.size, size=filtration.n_cells(s))]
+                    later = RandomVariable(bruteforce.lift(filtration, s, rho_s))
+                    # each checker's bound on rho_t
+                    bounds = {
+                        "check_submartingale":
+                            bruteforce.conditional_expectation(space, filtration, later, t),
+                        "middle_rejection_probe":
+                            oracle_paid_out_risk(space, filtration, psi, t, s, rho_s),
+                    }
+                    k = int(gen.integers(0, filtration.n_cells(t)))
+                    for checker, bound in bounds.items():
+                        for below in (True, False):
+                            offset = np.ones(bound.size)
+                            offset[k] = -1.0 if below else 0.5
+                            with monkeypatch.context() as m:
+                                feed_risks(m, X, {t: bound + offset, s: rho_s})
+                                got = getattr(consistency, checker)(
+                                    space, filtration, X, psi, t, s)
+                                want = getattr(bruteforce, checker)(
+                                    space, filtration, X, psi, t, s)
+                            self.assert_near(got, want)
+                            assert got.verdict == ("violated" if below else "holds")
+                            seen.add(checker)
+                            if below:
+                                assert got.witness["cell"] == k
+        assert len(seen) == 2
+
+    def test_warm_checkers_touch_no_atom(self, monkeypatch):
+        """With both levels' laws kept, the checkers lift nothing, average
+        nothing over atoms, and merge and order only the s-cells."""
+        space, filtration, X = later_cells_tree()
+        t, s = 1, 2
+        n_later = filtration.n_cells(s)
+        psi = ProportionalHazard(0.5)
+        calls = [lambda: check_submartingale(space, filtration, X, psi, t, s),
+                 lambda: middle_rejection_probe(space, filtration, X, psi, t, s)]
+        before = [canonical(call()) for call in calls]
+        sizes = []
+        real_merge, real_rv = space_module._merge_ties, consistency.RandomVariable
+
+        def merge(group, n_groups, Y, mass):
+            sizes.append(group.size)
+            return real_merge(group, n_groups, Y, mass)
+
+        def random_variable(values):
+            sizes.append(np.size(values))
+            return real_rv(values)
+
+        def refuse(*args):
+            raise AssertionError("per-atom work")
+
+        monkeypatch.setattr(space_module, "_merge_ties", merge)
+        monkeypatch.setattr(consistency, "RandomVariable", random_variable)
+        for name in ("lift", "conditional_expectation"):
+            monkeypatch.setattr(consistency, name, refuse)
+        assert [canonical(call()) for call in calls] == before
+        assert sizes == [n_later, n_later]  # the paid-out risk and its merge
+
+    def test_nonmiddle_probe_matches_lifted_witness(self):
+        ce = build_nonmiddle_example()
+        report = middle_rejection_probe(ce.space, ce.filtration, ce.X, ce.psi, 0, 1)
+        assert report.verdict == "violated"
+        Y = lift(ce.filtration, AdaptedValue(1, -ce.computed["rho_1"].cell_values))
+        lifted = choquet(ce.space, ce.filtration, Y, 0, ce.psi).cell_values[0]
+        assert abs(report.witness["rho_t_Y"] - lifted) <= ANALYTIC_TOL
+        assert abs(report.witness["rho_t_Y"] - (2.0 * math.sqrt(2.0) - 2.0)) <= ANALYTIC_TOL
+
+
+class TestCellMass:
+    def test_mass_is_each_cells_probability(self, fixture_pool):
+        trees = list(fixture_pool[::5]) + [tie_heavy_tree(), later_cells_tree()]
+        for space, filtration, X in trees:
+            for t in range(filtration.horizon + 1):
+                laws = LevelLaws(space, filtration, X, t)
+                want = np.bincount(filtration.cell_of_atom(t), weights=space.probabilities,
+                                   minlength=filtration.n_cells(t))
+                assert laws.mass.dtype == want.dtype
+                assert laws.mass.tobytes() == want.tobytes()
+
+    def test_mass_is_read_only(self):
+        space, filtration, X = later_cells_tree()
+        for laws in (LevelLaws(space, filtration, X, 2), level_laws(space, filtration, X, 2)):
+            with pytest.raises(ValueError):
+                laws.mass[0] = 0.0
