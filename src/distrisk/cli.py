@@ -300,11 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="time-consistency check")
     tree_args(p)
-    p.add_argument(
-        "--property",
-        required=True,
-        choices=tuple(_CHECKS),
-    )
+    p.add_argument("--property", required=True, choices=tuple(_CHECKS))
     p.add_argument("--distortion", default="identity")
     p.add_argument("--family", default=None)
     p.add_argument("--s", type=int, default=None, help="later time (default: horizon)")

@@ -394,13 +394,6 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
         float(psi(2.0 * (b - a) / (d - a))) - m
     )
     rho1_middle = -b - (d - a) / 2.0 * m
-    expected = {
-        "rho_1": [rho1_outer, rho1_middle],
-        "rho_0": [rho0],
-    }
-    tol = 10.0 * (d - a) / n
-    ce = Counterexample(
-        f"weakacc_continuous_n{n}", space, filtration,
-        RandomVariable(values), psi, expected, tol,
-    )
-    return ce
+    expected = {"rho_1": [rho1_outer, rho1_middle], "rho_0": [rho0]}
+    return Counterexample(f"weakacc_continuous_n{n}", space, filtration,
+                          RandomVariable(values), psi, expected, 10.0 * (d - a) / n)

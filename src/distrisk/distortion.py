@@ -38,7 +38,7 @@ from .tolerance import (
 
 def _check_unit(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():  # ndarray.any: no np.any dispatch layers
         raise DomainError("argument must lie in [0, 1]")
     return arr
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distortion import Distortion, DistortionMeasure, psi_from_measure
+from .distortion import Distortion, DistortionMeasure, MinVar, psi_from_measure
 from .space import (
     AdaptedValue,
     DiscreteDistribution,
@@ -208,11 +208,10 @@ def min_iid_rho(space, filtration, X, t, k: int) -> AdaptedValue:
     """Negative conditional mean of the minimum of k conditionally iid copies.
 
     Built exactly from the tail probabilities: the minimum exceeds y iff all
-    copies do, so its survival function is the k-th power of the original.
+    copies do, so its survival function is the k-th power of the original,
+    and its law is the original distorted by MinVar(k - 1).
     """
     k = int(k)
     if k < 1:
         raise DomainError("copy count must be a positive integer")
-    laws = level_laws(space, filtration, X, t)
-    F_min = 1.0 - (1.0 - laws.F) ** k
-    return AdaptedValue(t, -laws.sum(laws.support * (F_min - laws.shift(F_min))))
+    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), MinVar(k - 1)))

@@ -12,6 +12,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,25 @@ def _partition_problem(t: int, atoms: np.ndarray, sizes: np.ndarray, n: int) -> 
     return uncovered if atoms.size != n else None
 
 
+class Level(NamedTuple):
+    """A filtration level as int32 arrays: atoms flat in cell order, cell sizes."""
+
+    atoms: np.ndarray
+    sizes: np.ndarray
+
+
+def _level_arrays(level) -> Level:
+    """A level given as its cells, as a :class:`Level` (np.fromiter raises on
+    entries that are not integers fitting an int32); a Level as it is."""
+    if isinstance(level, Level):
+        return level
+    sizes = np.fromiter(map(len, level), dtype=np.int32)
+    atoms = np.fromiter(
+        itertools.chain.from_iterable(level), dtype=np.int32, count=int(sizes.sum())
+    )
+    return Level(atoms, sizes)
+
+
 class Filtration:
     """Per-time partitions of the atom index set.
 
@@ -79,8 +99,10 @@ class Filtration:
 
     Each level is kept as one flat array of atom indices in the caller's cell
     order, the cell sizes, and a read-only atom -> cell map, all int32 (half
-    the memory of the default integer; np.fromiter rejects indices that do
-    not fit); the cells as int tuples are built from those on first request.
+    the memory of the default integer); the cells as int tuples are built
+    from those on first request.  A level may be given as its cells or as a
+    :class:`Level`, whose arrays are then kept, not copied, and made
+    read-only.
     """
 
     def __init__(self, partitions) -> None:
@@ -89,11 +111,7 @@ class Filtration:
         self._cell_of: list[np.ndarray] = []
         n = None
         for t, level in enumerate(partitions):
-            sizes = np.fromiter(map(len, level), dtype=np.int32)
-            atoms = np.fromiter(
-                itertools.chain.from_iterable(level), dtype=np.int32,
-                count=int(sizes.sum()),
-            )
+            atoms, sizes = _level_arrays(level)
             if n is None:
                 n = atoms.size
             problem = _partition_problem(t, atoms, sizes, n)
@@ -141,9 +159,9 @@ class Filtration:
             )
         return self._cells[t]
 
-    def level(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+    def level(self, t: int) -> Level:
         """The atoms at time t, flat in cell order, and the cell sizes."""
-        return self._atoms[self._check_time(t)], self._sizes[t]
+        return Level(self._atoms[self._check_time(t)], self._sizes[t])
 
     def n_cells(self, t: int) -> int:
         return int(self._sizes[self._check_time(t)].size)
@@ -171,8 +189,7 @@ class RandomVariable:
     its value order (:attr:`value_order`) and the laws of the two levels it
     was last evaluated on (:func:`level_laws`).  Neither is a field, so the
     constructor, ``==``, ``repr`` and ``dataclasses.replace`` see only the
-    values, and a replaced payoff starts with nothing kept.  A lifted
-    payoff comes with its value order (:func:`lift`).
+    values, and a replaced payoff starts with nothing kept.
     """
 
     values: np.ndarray
@@ -447,41 +464,11 @@ def conditional_expectation(
 
 
 def lift(filtration: Filtration, adapted: AdaptedValue) -> RandomVariable:
-    """Spread an adapted value back onto atoms (constant on each cell).
-
-    The payoff comes with its value order, ``np.argsort(values,
-    kind="stable")`` exactly: the atoms stably sorted by the dense rank of
-    their cell value (``-0.0`` ties ``0.0``), as uint16 up to 65,536 ranks."""
+    """Spread an adapted value back onto atoms (constant on each cell)."""
     v = adapted.cell_values
     if v.size != filtration.n_cells(adapted.time):
         raise DomainError("cell value count does not match partition")
-    cell_of = filtration.cell_of_atom(adapted.time)
-    X = RandomVariable(v[cell_of])  # non-finite values fail here, before any sort
-    by_value = np.argsort(v, kind="stable")
-    ascending = v[by_value]
-    rank = np.empty(v.size, dtype=np.intp)
-    rank[by_value] = np.cumsum(np.concatenate(([0], ascending[1:] != ascending[:-1])))
-    if rank.max() < 1 << 16:  # numpy sorts uint16 keys by radix
-        rank = rank.astype(np.uint16)
-    order = np.argsort(rank[cell_of], kind="stable")
-    order.setflags(write=False)
-    object.__setattr__(X, "value_order", order)  # what the cached property would hold
-    return X
-
-
-def _level_arrays(level):
-    """One level's atom indices, flat in the listed order, and its cell sizes,
-    or None where the level is not a list of lists of integers that fit an
-    int64."""
-    try:
-        sizes = np.fromiter(map(len, level), dtype=np.intp)
-        atoms = np.fromiter(
-            itertools.chain.from_iterable(level), dtype=np.int64,
-            count=int(sizes.sum()),
-        )
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return atoms, sizes
+    return RandomVariable(v[filtration.cell_of_atom(adapted.time)])
 
 
 def _floats(values):
@@ -497,9 +484,10 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
 
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
-    constructors would reject can still be diagnosed.  A level with an empty
-    cell, or whose entries are not integers or too large for an int64, is not
-    a partition of the atom set.
+    constructors would reject can still be diagnosed; a level may also be
+    given as a :class:`Level`, as :class:`Filtration` takes it.  A level with
+    an empty cell, or whose entries are not integers or too large for an
+    int32, is not a partition of the atom set.
     """
     report: list[str] = []
     p = _floats(probabilities)
@@ -515,7 +503,12 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     if abs(total - 1.0) > RENORM_WINDOW:
         report.append(f"probabilities: sum {total} outside renormalization window")
 
-    levels = [_level_arrays(level) for level in partitions]
+    levels = []
+    for level in partitions:
+        try:
+            levels.append(_level_arrays(level))
+        except (TypeError, ValueError, OverflowError):
+            levels.append(None)
     ok_shape = True
     for t, level in enumerate(levels):
         if level is None or _partition_problem(t, *level, n) is not None:

@@ -13,6 +13,7 @@ comes back within one rounding of them), and a payoff of -0.0 is written as
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import sys
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import DomainError, Filtration, RandomVariable, ScenarioSpace, validate
+from .space import DomainError, Filtration, Level, RandomVariable, ScenarioSpace, validate
 
 SCHEMA_VERSION = 1
 
@@ -43,12 +44,6 @@ class TreeDocument:
         return self.payoffs[name]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return repr(x)
-
-
 def dumps_17g(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits; insertion order kept."""
     pad = "  " * indent
@@ -67,35 +62,35 @@ def dumps_17g(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         items = [f"{pad}  {dumps_17g(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, (int, str)):
+        return format(obj, ".17g")
+    if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _atoms_text(doc: TreeDocument) -> str:
-    """The atoms array, every atom rendered from one template."""
+    """The atoms array, rendered by one %-template over the probability and
+    payoff columns, interleaved atom by atom."""
     fields = [
-        "        " + json.dumps(str(n)).replace("{", "{{").replace("}", "}}")
-        + ": {:.17g}"
-        for n in doc.payoffs
+        "        " + json.dumps(str(n)).replace("%", "%%") + ": %.17g" for n in doc.payoffs
     ]
-    payoffs = "{{\n" + ",\n".join(fields) + "\n      }}" if fields else "{{}}"
-    atom = '    {{\n      "probability": {:.17g},\n      "payoffs": ' + payoffs + "\n    }}"
-    columns = [doc.space.probabilities.tolist()]
-    columns += [rv.values.tolist() for rv in doc.payoffs.values()]
-    return "[\n" + ",\n".join(itertools.starmap(atom.format, zip(*columns))) + "\n  ]"
+    payoffs = "{\n" + ",\n".join(fields) + "\n      }" if fields else "{}"
+    atom = '    {\n      "probability": %.17g,\n      "payoffs": ' + payoffs + "\n    }"
+    columns = np.column_stack(
+        [doc.space.probabilities, *(rv.values for rv in doc.payoffs.values())]
+    )
+    atoms = ",\n".join([atom] * len(columns)) % tuple(columns.ravel().tolist())
+    return "[\n" + atoms + "\n  ]"
 
 
 def _level_text(atoms: np.ndarray, sizes: np.ndarray) -> str:
     """One level of the filtration, a cell per line, from its flat atom
     indices and cell sizes."""
-    ends = np.cumsum(sizes).tolist()
-    indices = list(map(str, atoms.tolist()))
-    cells = [", ".join(indices[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    cells = list(map(str, atoms.tolist()))
+    if sizes.size != atoms.size:  # not every cell a single atom
+        ends = np.cumsum(sizes).tolist()
+        cells = [", ".join(cells[a:b]) for a, b in zip([0] + ends[:-1], ends)]
     if not cells:
         return "[]"
     return "[\n      [" + "],\n      [".join(cells) + "]\n    ]"
@@ -184,10 +179,23 @@ def _atom_columns(atoms: list):
         return None
 
 
-def _cells_are_lists_of_ints(level: list) -> bool:
-    return set(map(type, level)) <= {list} and set(
-        map(type, itertools.chain.from_iterable(level))
-    ) <= {int}
+def _read_level(t: int, level) -> Level | list:
+    """A level of the document checked to be lists of integers, one pass over
+    its cells and one over its indices, and converted to int32 arrays; left
+    as it is where an index does not fit, for :func:`validate` to report."""
+    if not isinstance(level, list):
+        raise ParseError(f"filtration[{t}]: expected a list of cells")
+    if set(map(type, level)) <= {list}:
+        flat = list(itertools.chain.from_iterable(level))
+        if set(map(type, flat)) <= {int}:
+            try:
+                return Level(np.fromiter(flat, np.int32, len(flat)),
+                             np.fromiter(map(len, level), np.int32, len(level)))
+            except OverflowError:
+                return level
+    k = next(k for k, cell in enumerate(level)
+             if type(cell) is not list or not set(map(type, cell)) <= {int})
+    raise ParseError(f"filtration[{t}][{k}]: expected a list of atom indices")
 
 
 def document_from_text(text: str) -> TreeDocument:
@@ -195,7 +203,21 @@ def document_from_text(text: str) -> TreeDocument:
 
     Each part is checked in bulk first; only when a check fails is the part
     walked entry by entry, to report the first bad entry by its position.
+    Each level is converted once, to the int32 arrays that :func:`validate`
+    checks and :class:`Filtration` keeps.  The cyclic garbage collector is
+    paused while reading (the parsed JSON holds a container per atom and per
+    cell, and no cycle) and then left as the caller had it.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read(text: str) -> TreeDocument:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -221,12 +243,7 @@ def document_from_text(text: str) -> TreeDocument:
     levels = raw.get("filtration")
     if not isinstance(levels, list) or not levels:
         raise ParseError("filtration: expected a non-empty list of partitions")
-    for t, level in enumerate(levels):
-        if not isinstance(level, list):
-            raise ParseError(f"filtration[{t}]: expected a list of cells")
-        if not _cells_are_lists_of_ints(level):
-            k = next(k for k, cell in enumerate(level) if not _cells_are_lists_of_ints([cell]))
-            raise ParseError(f"filtration[{t}][{k}]: expected a list of atom indices")
+    levels = [_read_level(t, level) for t, level in enumerate(levels)]
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object")

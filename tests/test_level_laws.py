@@ -324,7 +324,7 @@ def assert_lifted_order(filtration, t, cell_values):
 
 
 class TestLiftedValueOrder:
-    """`lift` sorts the cell values, not the atoms, and gets the same order."""
+    """A lifted payoff gets the same cached value order as any payoff."""
 
     def test_fixture_pool_every_level(self, fixture_pool):
         gen = np.random.default_rng(271)
@@ -353,7 +353,6 @@ class TestLiftedValueOrder:
 
     @pytest.mark.parametrize("n_values", [1 << 16, (1 << 16) + 1])
     def test_many_distinct_values(self, n_values):
-        # up to 65,536 distinct values the ranks are sorted as uint16, beyond wider
         gen = np.random.default_rng(277)
         _, filtration, _ = paired_tree(n_values + 5, gen)
         values = gen.permutation(np.linspace(-1.0, 1.0, n_values))
@@ -537,13 +536,9 @@ class TestKeptLaws:
 
     def test_checkers_cold_warm_and_fresh_agree(self, fixture_pool, monkeypatch):
         """The checkers that read a level's laws directly (super-strict) or
-        lift a risk with its value order (middle rejection), and the
+        group the later risks by cell (middle rejection), and the
         sub-martingale check, give the same bits cold, warm and fresh; fresh
-        here also builds every law afresh in `consistency` and lifts without
-        the cell-value order."""
-        def unordered_lift(filtration, adapted):
-            return RandomVariable(adapted.cell_values[filtration.cell_of_atom(adapted.time)])
-
+        here also builds every law afresh in `consistency`."""
         gen = np.random.default_rng(281)
         trees = list(fixture_pool[::10]) + [tie_heavy_tree()]
         for space, filtration, X in trees:
@@ -564,7 +559,6 @@ class TestKeptLaws:
                 with monkeypatch.context() as m:
                     for module in (risk, acceptability, consistency):
                         m.setattr(module, "level_laws", LevelLaws)
-                    m.setattr(consistency, "lift", unordered_lift)
                     assert canonical(call(RandomVariable(X.values))) == cold
 
     @pytest.mark.parametrize("t", [1.0, 0.5, -1, 3])

@@ -2,9 +2,13 @@
 oracle, and the writer against its `dumps_17g`-based oracle.
 
 CASES pins the exact message for one document per kind of problem, and for
-documents with two problems, which one is reported.
+documents with two problems, which one is reported.  The reader's own
+mechanics are pinned too: the garbage collector paused while it reads and
+restored after, and each level converted once to int32 arrays that
+`validate` and `Filtration` share.
 """
 
+import gc
 import json
 
 import numpy as np
@@ -21,6 +25,8 @@ from distrisk import (
     build_weakacc_pprime,
     validate,
 )
+from distrisk import treedoc
+from distrisk.space import Level
 from distrisk.treedoc import ParseError, TreeDocument, document_from_text, document_to_text
 
 DROP = object()
@@ -262,6 +268,71 @@ def test_parser_limits_reported(doc, message):
     assert str(err.value) == message
 
 
+READS = [
+    ("good", text()),
+    ("json-syntax", "{not json"),
+    ("nesting", '{"atoms": ' + "[" * 100000 + "]" * 100000 + "}"),
+    ("bad-atom", text(atoms=atoms((1, "probability", True)))),
+    ("bad-level", levels([[[0, 1, 2]], [[0, 1], [2.5]], [[0], [1], [2]]])),
+    ("not-a-partition", levels([[[0, 1, 2]], [[0, 1], [2 ** 40]], [[0], [1], [2]]])),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("doc", [r[1] for r in READS], ids=[r[0] for r in READS])
+def test_collector_paused_while_reading_and_restored(doc, enabled, monkeypatch):
+    during = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s: during.append(gc.isenabled()) or loads(s))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            document_from_text(doc)
+        except ParseError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]
+
+
+def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
+    partitions = [[[2, 0, 1]], [[1], [0, 2]], [[2], [0], [1]]]
+    seen = {}
+
+    def spy(name, fn):
+        def wrapper(*args):
+            seen[name] = list(args[1] if name == "validate" else args[0])
+            return fn(*args)
+        monkeypatch.setattr(treedoc, name, wrapper)
+
+    spy("validate", validate)
+    spy("Filtration", Filtration)
+    got = document_from_text(levels(partitions)).filtration
+    want = Filtration(partitions)
+    assert all(type(level) is Level for level in seen["validate"])
+    assert all(a is b for a, b in zip(seen["validate"], seen["Filtration"]))
+    for t in range(3):
+        assert got.level(t).atoms is seen["Filtration"][t].atoms
+        arrays = (*got.level(t), got.cell_of_atom(t))
+        for a, b in zip(arrays, (*want.level(t), want.cell_of_atom(t))):
+            assert a.dtype == np.int32 and not a.flags.writeable
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("index, message", [
+    (2 ** 31, "partition t=1: not a partition of the atom set"),
+    (2 ** 63, "partition t=1: not a partition of the atom set"),
+    (True, "filtration[1][1]: expected a list of atom indices"),
+    (1.0, "filtration[1][1]: expected a list of atom indices"),
+], ids=["int32-overflow", "int64-overflow", "true", "float"])
+def test_level_entry_beyond_int32_or_not_an_int(index, message):
+    with pytest.raises(ParseError) as err:
+        document_from_text(levels([[[0, 1, 2]], [[0, 1], [index]], [[0], [1], [2]]]))
+    assert str(err.value) == message
+
+
 def counterexample_trees():
     mu = DistortionMeasure(np.array([0.25, 1.0]), np.array([0.5, 0.5]))
     return [
@@ -347,7 +418,8 @@ def writer_documents(fixture_pool):
     space, filtration, X = fixture_pool[3]
     docs.append(TreeDocument(space, filtration, {}, {}))
     odd = np.resize([1e-320, 0.1, 1e300, -2.5e-7, 3.0], space.n_atoms)
-    docs.append(TreeDocument(space, filtration, {'a"b': X, "{x}\u00e9": RandomVariable(odd)}, {}))
+    names = {'a"b': X, "{x}\u00e9": RandomVariable(odd), "50%s %%": X}
+    docs.append(TreeDocument(space, filtration, names, {}))
     metadata = {"n": 3, "x": 1.5, "none": None, "list": [1, "two"], 7: {"k": "v"}}
     docs.append(TreeDocument(
         ScenarioSpace(np.array([0.2, 0.3, 0.5])),
