@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 
 import numpy as np
@@ -103,28 +102,31 @@ def parse_family(spec: str) -> DistortionFamily:
     return _FAMILIES[name]()
 
 
-def _digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _load(path: str) -> tuple[TreeDocument, str]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise ParseError(f"{path}: {e.strerror}") from None
     try:
-        return document_from_text(text), _digest(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: byte {e.start}: not UTF-8") from None
+    if b"\r" in data:  # line ends as a text-mode read gives them; CR is never inside a character
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        text = data.decode("utf-8")
+    try:
+        return document_from_text(text), _digest(data)
     except ParseError as e:
         raise ParseError(f"{path}: {e}") from None
 
 
 def _cell_list(adapted) -> list[float]:
     return [float(v) for v in adapted.cell_values]
-
-
-def _index_list(result) -> list:
-    return ["inf" if math.isinf(v) else float(v) for v in result.cell_values]
 
 
 def _emit(report: dict) -> None:
@@ -164,7 +166,7 @@ _ONE_PAYOFF_COMMANDS = (
      lambda run, ns: {"dwvar": _cell_list(run(risk.dwvar, parse_measure(ns.measure)))}),
     ("dcai", "acceptability index per cell",
      [("--family", {"required": True, "help": "family:minvar etc."})],
-     lambda run, ns: {"index": _index_list(run(acceptability.dcai, parse_family(ns.family)))}),
+     lambda run, ns: {"index": _cell_list(run(acceptability.dcai, parse_family(ns.family)))}),
 )
 
 
@@ -255,7 +257,7 @@ def _cmd_repro(ns) -> int:
     report = _base_report(
         "repro",
         {"name": ns.name, "a": ns.a, "mu": ns.mu, "n": ns.n, "out": out_path},
-        _digest(text),
+        _digest(text.encode()),
     )
     report["results"] = {
         "distortion": ce.psi.label,

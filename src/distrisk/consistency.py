@@ -28,6 +28,7 @@ from .space import (
     AdaptedValue,
     DomainError,
     Filtration,
+    Level,
     LevelLaws,
     RandomVariable,
     ScenarioSpace,
@@ -382,12 +383,13 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     h = (d - a) / n
     values = a + (np.arange(n) + 0.5) * h
     space = ScenarioSpace(np.full(n, 1.0 / n))
-    outer = tuple(int(i) for i in np.where((values < b) | (values >= c))[0])
-    middle = tuple(int(i) for i in np.where((values >= b) & (values < c))[0])
-    filtration = Filtration((
-        (tuple(range(n)),),
-        (outer, middle),
-        tuple((i,) for i in range(n)),
+    atoms = np.arange(n, dtype=np.int32)
+    middle = (values >= b) & (values < c)
+    filtration = Filtration((  # the root; the outer then the middle piece; every atom
+        Level(atoms, np.array([n], dtype=np.int32)),
+        Level(np.concatenate([atoms[~middle], atoms[middle]]),
+              np.bincount(middle, minlength=2).astype(np.int32)),
+        Level(atoms, np.ones(n, dtype=np.int32)),
     ))
     rho0 = -a - (d - a) * m
     rho1_outer = -(a + d) / 2.0 + (d - a) / 2.0 * (

@@ -77,7 +77,7 @@ class Level(NamedTuple):
 
 def _level_arrays(level) -> Level:
     """A level given as its cells, as a :class:`Level` (np.fromiter raises on
-    entries that are not integers fitting an int32); a Level as it is."""
+    entries too large for an int32, and truncates a float); a Level as it is."""
     if isinstance(level, Level):
         return level
     sizes = np.fromiter(map(len, level), dtype=np.int32)
@@ -479,14 +479,25 @@ def _floats(values):
         return None
 
 
+def _integer_level(level) -> Level | None:
+    """A :class:`Level`, or None where an entry is not an int (nor a bool) or exceeds int32."""
+    try:
+        kinds = () if isinstance(level, Level) else set(map(type, itertools.chain(*level)))
+        ints = all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds)
+        return _level_arrays(level) if ints else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def validate(probabilities, partitions, *value_vectors) -> list[str]:
     """Diagnostic report on raw structural inputs.
 
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
     constructors would reject can still be diagnosed; a level may also be
-    given as a :class:`Level`, as :class:`Filtration` takes it.  A level with
-    an empty cell, or whose entries are not integers or too large for an
+    given as a :class:`Level`, as :class:`Filtration` takes it, and partitions
+    as a Filtration, whose levels and atom -> cell maps are then reused.  A level
+    with an empty cell, or an entry that is not an integer or too large for an
     int32, is not a partition of the atom set.
     """
     report: list[str] = []
@@ -503,15 +514,15 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     if abs(total - 1.0) > RENORM_WINDOW:
         report.append(f"probabilities: sum {total} outside renormalization window")
 
-    levels = []
-    for level in partitions:
-        try:
-            levels.append(_level_arrays(level))
-        except (TypeError, ValueError, OverflowError):
-            levels.append(None)
+    if hasattr(partitions, "cell_of_atom"):  # a Filtration (perfbench may wrap the class name)
+        levels = [partitions.level(t) for t in range(partitions.horizon + 1)]
+        built = partitions.n_atoms == n  # then every level is known to partition the atoms
+    else:
+        levels = list(map(_integer_level, partitions))
+        built = False
     ok_shape = True
     for t, level in enumerate(levels):
-        if level is None or _partition_problem(t, *level, n) is not None:
+        if level is None or not built and _partition_problem(t, *level, n) is not None:
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:
@@ -519,15 +530,13 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
             report.append("partition t=0: not the trivial single cell")
         if levels[-1][1].size != n:
             report.append(f"partition t={len(levels) - 1}: does not separate all atoms")
-        cell_of = np.empty(n, dtype=np.intp)
+        filtration = partitions if built else Filtration(levels)  # each level partitions
         for t in range(len(levels) - 1):
-            atoms, sizes = levels[t]
-            cell_of[atoms] = np.repeat(np.arange(sizes.size), sizes)
             # each listed atom of t+1: its cell, and the t-cell holding it
             atoms, sizes = levels[t + 1]
             cell = np.repeat(np.arange(sizes.size), sizes)
             start = np.cumsum(sizes) - sizes
-            up = cell_of[atoms]
+            up = filtration.cell_of_atom(t)[atoms]
             straddling = np.bincount(cell[up != up[start[cell]]], minlength=sizes.size)
             for k in np.flatnonzero(straddling).tolist():
                 span = slice(start[k], start[k] + sizes[k])

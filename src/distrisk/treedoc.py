@@ -45,7 +45,7 @@ class TreeDocument:
 
 
 def dumps_17g(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits; insertion order kept."""
+    """Strict JSON text with floats at 17 significant digits; insertion order kept."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -55,6 +55,10 @@ def dumps_17g(obj, indent: int = 0) -> str:
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)) and set(map(type, obj)) <= {float}:
+        text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+        if "n" not in text:  # no inf or nan, which are written one by one below
+            return "[" + text + "]"
     if isinstance(obj, (list, tuple)) and all(
         isinstance(v, (int, float, str, bool)) or v is None for v in obj
     ):
@@ -63,7 +67,10 @@ def dumps_17g(obj, indent: int = 0) -> str:
         items = [f"{pad}  {dumps_17g(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
     if isinstance(obj, float):
-        return format(obj, ".17g")
+        text = format(obj, ".17g")
+        if text == "nan":
+            raise ValueError("cannot serialize NaN")
+        return f'"{text}"' if text.endswith("inf") else text  # strict JSON has no inf
     if obj is None or isinstance(obj, (int, str)):  # bool is an int
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -152,20 +159,20 @@ _NUMBER_TYPES = {int, float}
 
 def _atom_columns(atoms: list):
     """The probabilities and each payoff as float arrays, or None unless every
-    atom is an object of numbers, all with the same payoff names.
+    atom is an object of numbers, all with the same payoff names in order.
 
-    Every check is one C-level pass over a column; json only makes exact
-    dict, list, int, float and bool objects, so comparing types is exact
-    (and excludes bool, which is not an int here).
+    Every check is one C-level pass over a column and builds no tuple or dict per atom;
+    json only makes exact dict, list, int, float and bool objects, so comparing
+    types is exact (and excludes bool, which is not an int here).
     """
     if set(map(type, atoms)) != {dict}:
         return None
-    probs = [atom.get("probability") for atom in atoms]
-    payoffs = [atom.get("payoffs", {}) for atom in atoms]
+    probs = list(map(dict.get, atoms, itertools.repeat("probability")))
+    payoffs = list(map(dict.get, atoms, itertools.repeat("payoffs"), itertools.repeat({})))
     if not set(map(type, probs)) <= _NUMBER_TYPES or set(map(type, payoffs)) != {dict}:
         return None
-    names = tuple(payoffs[0])
-    if set(map(tuple, payoffs)) != {names}:
+    names = list(payoffs[0])
+    if list(itertools.chain.from_iterable(payoffs)) != names * len(payoffs):
         return None
     columns = {n: [d[n] for d in payoffs] for n in names}
     if not all(set(map(type, c)) <= _NUMBER_TYPES for c in columns.values()):
@@ -203,10 +210,10 @@ def document_from_text(text: str) -> TreeDocument:
 
     Each part is checked in bulk first; only when a check fails is the part
     walked entry by entry, to report the first bad entry by its position.
-    Each level is converted once, to the int32 arrays that :func:`validate`
-    checks and :class:`Filtration` keeps.  The cyclic garbage collector is
-    paused while reading (the parsed JSON holds a container per atom and per
-    cell, and no cycle) and then left as the caller had it.
+    Each level is converted once, to the int32 arrays that :class:`Filtration`
+    checks and keeps, and that :func:`validate` then reads.  The cyclic garbage
+    collector is paused while reading (the parsed JSON holds a container per
+    atom and per cell, and no cycle) and then left as the caller had it.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -247,12 +254,15 @@ def _read(text: str) -> TreeDocument:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object")
-    problems = validate(probs, levels, *values.values())
+    try:  # each level checked and indexed here, once; validate reads the result
+        filtration = Filtration(levels)
+    except (DomainError, OverflowError):
+        filtration = None
+    problems = validate(probs, levels if filtration is None else filtration, *values.values())
     if problems:
         raise ParseError("; ".join(problems))
     try:
         space = ScenarioSpace(probs)
-        filtration = Filtration(levels)
         payoffs_rv = {n: RandomVariable(v) for n, v in values.items()}
     except DomainError as e:
         raise ParseError(str(e)) from None

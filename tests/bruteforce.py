@@ -6,10 +6,11 @@ sort that the level laws must line up with; the structural maps and the
 checkers are the straightforward loops over cells and children, and the
 sub-martingale and middle-rejection checks take every risk from the per-cell
 laws; `validate` is the set-based structural report and `document_to_text`
-the writer that renders every atom and cell through `dumps_17g`.  The other
-checkers look up `choquet` and `dcai` on `distrisk.consistency` at call
-time, so a test that replaces those names feeds the library checker and its
-oracle the same values.
+the writer that renders every atom and cell through `dumps_17g`;
+`build_weakacc_continuous` lists the continuum counterexample's cells as
+int tuples.  The other checkers look up `choquet` and `dcai` on
+`distrisk.consistency` at call time, so a test that replaces those names
+feeds the library checker and its oracle the same values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import math
 import numpy as np
 
 from distrisk import consistency
-from distrisk.consistency import LEQ_TOL, SUBMARTINGALE_TOL, ConsistencyReport
+from distrisk.consistency import (
+    LEQ_TOL,
+    SUBMARTINGALE_TOL,
+    ConsistencyReport,
+    Counterexample,
+    build_weakacc_continuous as library_weakacc_continuous,
+)
+from distrisk.distortion import m_mu
 from distrisk.risk import (
     distribution_avar,
     distribution_avar_robust,
@@ -28,7 +36,7 @@ from distrisk.risk import (
     distribution_quantile_lower,
     distribution_quantile_upper,
 )
-from distrisk.space import RENORM_WINDOW, RandomVariable, conditional_distribution
+from distrisk.space import RENORM_WINDOW, Filtration, RandomVariable, conditional_distribution
 from distrisk.treedoc import SCHEMA_VERSION, dumps_17g
 
 
@@ -264,11 +272,18 @@ def validate(probabilities, partitions, *value_vectors):
         report.append(f"probabilities: sum {total} outside renormalization window")
 
     levels = [[tuple(int(i) for i in cell) for cell in lvl] for lvl in partitions]
+    # int() also takes 0.9, "1" and True; a level holding one is no partition
+    integral = [
+        all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            for cell in lvl for i in cell)
+        for lvl in partitions
+    ]
     atom_set = set(range(n))
     ok_shape = True
     for t, level in enumerate(levels):
         flat = [i for cell in level for i in cell]
-        if len(flat) != len(set(flat)) or set(flat) != atom_set or () in level:
+        if (not integral[t] or len(flat) != len(set(flat)) or set(flat) != atom_set
+                or () in level):
             report.append(f"partition t={t}: not a partition of the atom set")
             ok_shape = False
     if ok_shape and levels:
@@ -315,3 +330,20 @@ def document_to_text(doc):
         "metadata": {str(k): str(v) for k, v in doc.metadata.items()},
     }
     return dumps_17g(body) + "\n"
+
+
+def build_weakacc_continuous(mu, n_atoms):
+    """The library's continuum counterexample with its filtration built from
+    int tuples, cell by cell: the root, the outer piece [a, b) with [c, d]
+    then the middle piece [b, c), every atom alone."""
+    ce = library_weakacc_continuous(mu, n_atoms)
+    n, values = ce.space.n_atoms, ce.X.values
+    b, c = -m_mu(mu), 1.0 - m_mu(mu)
+    outer = tuple(int(i) for i in np.where((values < b) | (values >= c))[0])
+    middle = tuple(int(i) for i in np.where((values >= b) & (values < c))[0])
+    filtration = Filtration((
+        (tuple(range(n)),),
+        (outer, middle),
+        tuple((i,) for i in range(n)),
+    ))
+    return Counterexample(ce.name, ce.space, filtration, ce.X, ce.psi, ce.expected, ce.tolerance)

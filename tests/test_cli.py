@@ -1,5 +1,6 @@
 """End-to-end CLI tests: parsing, reports, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bruteforce
 import distrisk
-from distrisk import build_nonmiddle_example, build_weakacc_pprime
+from distrisk import build_nonmiddle_example, build_weakacc_pprime, consistency
 from distrisk.cli import main, parse_distortion, parse_family, parse_measure, SpecError
 from distrisk.treedoc import (
     ParseError,
@@ -46,6 +48,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out) if out else None
+
+
+def strict_json(text):
+    """The parsed report, refusing the bare NaN and Infinity of Python's json."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
 
 
 def run_failing(capsys, *argv):
@@ -207,6 +216,20 @@ class TestOtherCommands:
 
 
 class TestCheck:
+    def test_capped_index_is_strict_json(self, capsys, tmp_path):
+        """Payoffs 1..4 are positive on every cell, so each index is capped."""
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "atoms": [{"probability": 0.25, "payoffs": {"X": x}} for x in (1.0, 2.0, 3.0, 4.0)],
+            "filtration": [[[0, 1, 2, 3]], [[0], [1], [2], [3]]],
+        }))
+        code = main(["check", str(path), "--payoff", "X", "--property", "dcai-weak-rejection",
+                     "--t", "0", "--s", "1"])
+        results = strict_json(capsys.readouterr().out)["results"]
+        assert code == 0
+        assert results == {"margins": ["inf"], "verdict": "holds", "witness": None}
+
     def test_middle_rejection_violated(self, capsys, nonmiddle_path):
         code, rep = run(
             capsys, "check", nonmiddle_path, "--payoff", "X2",
@@ -313,6 +336,34 @@ class TestRepro:
         assert abs(rep["results"]["computed"]["rho_0"][0] - 1.0 / 6.0) <= 1e-12
         assert rep["results"]["match"] is True
 
+    @pytest.mark.parametrize("mu", ["0.25,0.5;1,0.5", "0.1,0.3;0.6,0.3;1,0.4"])
+    @pytest.mark.parametrize("n", [4, 5, 777, 10000])
+    def test_continuous_matches_tuple_built_reference(self, capsys, tmp_path, monkeypatch, mu, n):
+        got = consistency.build_weakacc_continuous(parse_measure(mu), n)
+        want = bruteforce.build_weakacc_continuous(parse_measure(mu), n)
+        assert (got.name, got.psi.label, got.expected, got.tolerance, got.max_error) == (
+            want.name, want.psi.label, want.expected, want.tolerance, want.max_error)
+        grid = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(got.psi(grid), want.psi(grid))
+        assert np.array_equal(got.space.probabilities, want.space.probabilities)
+        assert np.array_equal(got.X.values, want.X.values)
+        assert got.computed.keys() == want.computed.keys()
+        for label, risk in got.computed.items():
+            assert np.array_equal(risk.cell_values, want.computed[label].cell_values)
+        assert got.filtration.partitions == want.filtration.partitions
+        for t in range(3):
+            for a, b in zip((*got.filtration.level(t), got.filtration.cell_of_atom(t)),
+                            (*want.filtration.level(t), want.filtration.cell_of_atom(t))):
+                assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+        written = []
+        for build in (consistency.build_weakacc_continuous, bruteforce.build_weakacc_continuous):
+            monkeypatch.setattr(consistency, "build_weakacc_continuous", build)
+            out = tmp_path / "tree.json"
+            code = main(["repro", "weakacc-continuous", "--mu", mu, "--n", str(n),
+                         "--out", str(out)])
+            written.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert written[0] == written[1]
+
     def test_continuous(self, capsys, tmp_path):
         out = tmp_path / "tree.json"
         code, rep = run(
@@ -373,6 +424,37 @@ class TestTreeDocument:
         )
         assert code == 2
         assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xed\xa0\x80"],
+                             ids=["ff", "truncated", "surrogate"])
+    def test_non_utf8_document_exits_2(self, capsys, tmp_path, nonmiddle_path, bad):
+        data = Path(nonmiddle_path).read_bytes()
+        at = data.index(b'"name"') + 1
+        path = tmp_path / "latin.json"
+        path.write_bytes(data[:at] + bad + data[at:])
+        code, err = run_failing(
+            capsys, "evaluate", str(path), "--payoff", "X2", "--t", "0",
+            "--distortion", "identity",
+        )
+        assert code == 2
+        assert err == f"error: {path}: byte {at}: not UTF-8\n"
+
+    def test_line_ends_leave_report_and_digest_unchanged(self, capsys, tmp_path, nonmiddle_path):
+        """CRLF and CR read as LF, and the digest is that of a text-mode read."""
+        lf = Path(nonmiddle_path).read_bytes()
+        reports = []
+        for name, data in (("lf", lf), ("crlf", lf.replace(b"\n", b"\r\n")),
+                           ("cr", lf.replace(b"\n", b"\r"))):
+            path = tmp_path / name
+            path.write_bytes(data)
+            _, rep = run(capsys, "evaluate", str(path), "--payoff", "X2", "--t", "0",
+                         "--distortion", "minvar:2")
+            with open(path, encoding="utf-8") as fh:
+                text_mode = hashlib.sha256(fh.read().encode()).hexdigest()
+            assert rep["input_digest"] == "sha256:" + text_mode
+            del rep["arguments"]["tree"]
+            reports.append(rep)
+        assert reports[0] == reports[1] == reports[2]
 
     def test_seventeen_digit_roundtrip(self):
         ce = build_nonmiddle_example()

@@ -174,6 +174,17 @@ def test_transcript_covers_every_case(golden):
     assert [rec["argv"] for rec in golden["cases"]] == CASES
 
 
+def test_reports_are_strict_json(golden):
+    """Every report parses without Python's bare NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    reports = [rec["stdout"] for rec in golden["cases"]
+               if rec["stdout"] and not rec["stdout"].startswith("usage:")]
+    assert len(reports) == 138
+    for text in reports:
+        json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("i", range(len(CASES)), ids=[" ".join(c) or "(none)" for c in CASES])
 def test_matches_golden(golden, workdir, monkeypatch, i):
     rec = golden["cases"][i]

@@ -25,9 +25,15 @@ from distrisk import (
     build_weakacc_pprime,
     validate,
 )
-from distrisk import treedoc
+from distrisk import space, treedoc
 from distrisk.space import Level
-from distrisk.treedoc import ParseError, TreeDocument, document_from_text, document_to_text
+from distrisk.treedoc import (
+    ParseError,
+    TreeDocument,
+    document_from_text,
+    document_to_text,
+    dumps_17g,
+)
 
 DROP = object()
 LEVELS = [[[0, 1, 2]], [[0, 1], [2]], [[0], [1], [2]]]
@@ -168,6 +174,9 @@ CASES = [
      "partition t=0: not a partition of the atom set; "
      "partition t=1: not a partition of the atom set; "
      "partition t=2: not a partition of the atom set"),
+    ("levels-of-fewer-atoms", levels([[[0, 1]], [[0], [1]]]),
+     "partition t=0: not a partition of the atom set; "
+     "partition t=1: not a partition of the atom set"),
     ("root-split", levels([[[0], [1, 2]], [[0], [1], [2]]]),
      "partition t=0: not the trivial single cell"),
     ("horizon-coarse", levels([[[0, 1, 2]], [[0, 1], [2]]]),
@@ -298,27 +307,42 @@ def test_collector_paused_while_reading_and_restored(doc, enabled, monkeypatch):
 
 
 def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
+    """Filtration checks and indexes each level once; validate reads that
+    Filtration, which the document then keeps."""
     partitions = [[[2, 0, 1]], [[1], [0, 2]], [[2], [0], [1]]]
-    seen = {}
-
-    def spy(name, fn):
-        def wrapper(*args):
-            seen[name] = list(args[1] if name == "validate" else args[0])
-            return fn(*args)
-        monkeypatch.setattr(treedoc, name, wrapper)
-
-    spy("validate", validate)
-    spy("Filtration", Filtration)
-    got = document_from_text(levels(partitions)).filtration
     want = Filtration(partitions)
-    assert all(type(level) is Level for level in seen["validate"])
-    assert all(a is b for a, b in zip(seen["validate"], seen["Filtration"]))
+    calls = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(treedoc, "validate")
+    spy(treedoc, "Filtration")
+    spy(space, "_partition_problem")
+    got = document_from_text(levels(partitions)).filtration
+    assert [name for name, _ in calls] == (
+        ["Filtration"] + ["_partition_problem"] * 3 + ["validate"]
+    )
+    given, checked = calls[0][1][0], calls[-1][1][1]
+    assert checked is got
+    assert all(type(level) is Level for level in given)
     for t in range(3):
-        assert got.level(t).atoms is seen["Filtration"][t].atoms
+        assert got.level(t).atoms is given[t].atoms
         arrays = (*got.level(t), got.cell_of_atom(t))
         for a, b in zip(arrays, (*want.level(t), want.cell_of_atom(t))):
             assert a.dtype == np.int32 and not a.flags.writeable
             assert np.array_equal(a, b)
+
+
+def test_atoms_without_payoffs():
+    doc = document_from_text(text(atoms=[{"probability": p} for p in (0.25, 0.5, 0.25)]))
+    assert doc.payoffs == {}
+    assert np.array_equal(doc.space.probabilities, [0.25, 0.5, 0.25])
 
 
 @pytest.mark.parametrize("index, message", [
@@ -391,6 +415,15 @@ class TestValidateOracle:
         want = bruteforce.validate(probabilities, partitions, *values)
         assert validate(probabilities, partitions, *values) == want
 
+    @pytest.mark.parametrize("cells", [
+        [[0.9], ["1"]], [[0.9], [1]], [[0], ["1"]], [[True], [0]], [[0], [np.True_]],
+        [[0], [1.0]], [[0], [np.float64(1.0)]],
+    ], ids=["0.9-and-str", "0.9", "str", "true", "numpy-bool", "float", "numpy-float"])
+    def test_non_integer_entry_is_no_partition(self, cells):
+        assert validate([0.5, 0.5], [[[0, 1]], cells]) == [
+            "partition t=1: not a partition of the atom set"
+        ]
+
     @pytest.mark.parametrize("probabilities, partitions, values, want", [
         ([0.5, 0.5], [[[0, 1]], [0, 1]], (),
          ["partition t=1: not a partition of the atom set"]),
@@ -456,3 +489,24 @@ def test_writer_round_trip(fixture_pool):
             assert document_to_text(again) == written
             fixed_points += 1
     assert fixed_points >= 4
+
+
+def test_flat_float_list_rendered_as_one_by_one():
+    values = [0.1, -0.0, 1e-320, 5e-324, 1e300, 2.0 / 3.0, 1e16, -2.5e-7, 123456789.0, 0.0]
+    want = "[" + ", ".join(format(v, ".17g") for v in values) + "]"
+    assert dumps_17g(values) == dumps_17g(tuple(values)) == want
+    assert dumps_17g(list(np.array(values))) == want  # numpy floats, one by one
+    assert dumps_17g([]) == "[]"
+    assert dumps_17g([1.5, 2, None, True]) == "[1.5, 2, null, true]"
+
+
+def test_infinities_written_as_strings_and_nan_refused():
+    inf = float("inf")
+    report = {"margins": [1.5, inf], "witness": {"index_t": inf, "children": [-inf, 0.5]}}
+    text = dumps_17g(report)
+    assert json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}")) == {
+        "margins": [1.5, "inf"], "witness": {"index_t": "inf", "children": ["-inf", 0.5]},
+    }
+    for bad in (float("nan"), [1.0, float("nan")], {"x": [np.float64("nan")]}):
+        with pytest.raises(ValueError, match="NaN"):
+            dumps_17g(bad)
