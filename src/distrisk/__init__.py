@@ -48,7 +48,7 @@ from .risk import (
     quantile_upper,
     var,
 )
-from .acceptability import AcceptabilityResult, dcai, dcai_axiom_check
+from .acceptability import dcai, dcai_axiom_check
 from .consistency import (
     ConsistencyReport,
     Counterexample,

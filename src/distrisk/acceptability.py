@@ -15,6 +15,7 @@ import numpy as np
 
 from .distortion import DistortionFamily, check_family_monotone
 from .space import (
+    AdaptedValue,
     DomainError,
     Filtration,
     RandomVariable,
@@ -25,20 +26,6 @@ from .space import (
 from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
 
 
-@dataclass(frozen=True)
-class AcceptabilityResult:
-    """Per-cell index values in [0, +inf]; math.inf marks unbounded
-    acceptability."""
-
-    time: int
-    cell_values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.cell_values):
-            raise DomainError("acceptability values must be non-negative")
-        object.__setattr__(self, "cell_values", tuple(float(v) for v in self.cell_values))
-
-
 def _rho_at(support, F, family, x: float) -> float:
     """Risk of one cell's law (sorted support, cumulative weights F) under
     the family member x."""
@@ -46,11 +33,22 @@ def _rho_at(support, F, family, x: float) -> float:
     return -float(support @ np.diff(psi_F, prepend=0.0))
 
 
+def _halve(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Halve the bracket [lo, hi] at its midpoint until it is at most tol
+    wide, keeping the end where below(x) holds as lo."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _cell_index(support, F, family: DistortionFamily) -> float:
     if _rho_at(support, F, family, X_MIN) > 0.0:
         return 0.0
-    lo = X_MIN
-    hi = 2.0 * X_MIN
+    lo, hi = X_MIN, 2.0 * X_MIN
     while hi <= X_MAX:
         if _rho_at(support, F, family, hi) > 0.0:
             break
@@ -60,13 +58,7 @@ def _cell_index(support, F, family: DistortionFamily) -> float:
         if _rho_at(support, F, family, X_MAX) <= 0.0:
             return math.inf
         hi = X_MAX
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _rho_at(support, F, family, mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _halve(lambda x: _rho_at(support, F, family, x) <= 0.0, lo, hi, BISECT_TOL)[0]
 
 
 def dcai(
@@ -76,31 +68,28 @@ def dcai(
     t: int,
     family: DistortionFamily,
     probe_family: bool = True,
-) -> AcceptabilityResult:
-    """Largest family parameter with non-positive risk, per cell.
+) -> AdaptedValue:
+    """Largest family parameter with non-positive risk, per cell, as an
+    adapted value.
 
-    Returns 0 when even the smallest probe parameter ``X_MIN`` is rejected,
-    math.inf when the risk stays non-positive up to the bracket cap
-    ``X_MAX``, and otherwise the bisected boundary of the acceptance interval
-    to width ``BISECT_TOL``.
+    Each cell's index is 0 when even the smallest probe parameter ``X_MIN``
+    is rejected, math.inf when the risk stays non-positive up to the bracket
+    cap ``X_MAX``, and otherwise the bisected boundary of the acceptance
+    interval to width ``BISECT_TOL``.
     """
     if probe_family:
         report = check_family_monotone(family)
         if not report.monotone_ok:
             raise DomainError("family is not increasing on the probe grid")
     laws = level_laws(space, filtration, X, t)
-    return AcceptabilityResult(t, tuple(
+    return AdaptedValue(t, [
         _cell_index(laws.support[a:b], laws.F[a:b], family)
         for a, b in zip(laws.start, laws.stop)
-    ))
+    ])
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    monotone_ok: bool
-    scale_invariant_ok: bool
-    local_ok: bool
-    quasi_concave_ok: bool
     failures: tuple[str, ...]
 
     @property
@@ -127,8 +116,7 @@ def dcai_axiom_check(
     INDEX_TOL of each other or both inf.
     """
     def index(Z: RandomVariable) -> np.ndarray:
-        result = dcai(space, filtration, Z, t, family, probe_family=False)
-        return np.asarray(result.cell_values)
+        return dcai(space, filtration, Z, t, family, probe_family=False).cell_values
 
     def at_most(a, b) -> bool:
         return bool(np.all(a <= b + INDEX_TOL))
@@ -155,7 +143,4 @@ def dcai_axiom_check(
         (local_ok, "locality: masking other cells changed the index on cell 0"),
         (quasi_concave_ok, "quasi-concavity: a mixture fell below both endpoints"),
     )
-    return AxiomReport(
-        monotone_ok, scale_invariant_ok, local_ok, quasi_concave_ok,
-        tuple(message for ok, message in verdicts if not ok),
-    )
+    return AxiomReport(tuple(message for ok, message in verdicts if not ok))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acceptability import dcai
+from .acceptability import _halve, dcai  # _halve: the one bisection loop, shared with dcai
 from .distortion import (
     Distortion,
     DistortionFamily,
@@ -194,8 +194,8 @@ def check_weak_rejection_dcai(
     """
     if t >= s:
         raise DomainError("need t < s")
-    a_t = np.asarray(dcai(space, filtration, X, t, family).cell_values)
-    a_s = np.asarray(dcai(space, filtration, X, s, family).cell_values)
+    a_t = dcai(space, filtration, X, t, family).cell_values
+    a_s = dcai(space, filtration, X, s, family).cell_values
     parent = filtration.parent(t, s)
     # child j's index m = a_s[j] is a violating level of its parent k when
     # every child of k is at or below m and k itself is above it
@@ -366,17 +366,9 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     def g(z: float) -> float:
         return float(psi(z)) + z - 1.0
 
-    lo, hi = m, 0.5
-    if not (g(lo) < 0.0 <= g(hi) + ROOT_BRACKET_SLACK):
+    if not (g(m) < 0.0 <= g(0.5) + ROOT_BRACKET_SLACK):
         raise AssertionError("root of psi(z) + z - 1 not bracketed in (m, 1/2]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= ROOT_TOL:
-            break
+    lo, hi = _halve(lambda z: g(z) < 0.0, m, 0.5, ROOT_TOL)
     z0 = 0.5 * (lo + hi)
 
     a, b, c, d = -m - z0, -m, 1.0 - m, 2.0 - m - z0

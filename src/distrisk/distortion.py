@@ -318,18 +318,14 @@ def psi_from_measure(mu: DistortionMeasure, label: str | None = None) -> Piecewi
     support point.
     """
     s = mu.support
-    w = mu.weights
-    tail = np.cumsum((w / s)[::-1])[::-1]  # slope left of each support point
-    knots_y = [0.0]
-    knots_v = [0.0]
-    for k in range(s.size):
-        knots_y.append(float(s[k]))
-        knots_v.append(knots_v[-1] + tail[k] * (knots_y[-1] - knots_y[-2]))
-    knots_v[-1] = 1.0  # exact by construction, pin against round-off
-    if knots_y[-1] < 1.0:
-        knots_y.append(1.0)
-        knots_v.append(1.0)
-    return PiecewiseLinear(knots_y, knots_v, label=label or "from_measure")
+    # running sums as np.add.accumulate (np.cumsum's ufunc, without its
+    # wrapper's overhead on the few atoms a measure usually has)
+    tail = np.add.accumulate((mu.weights / s)[::-1])[::-1]  # slope left of each support point
+    knots_y = np.concatenate(((0.0,), s, (1.0,)))
+    knots_v = np.concatenate(((0.0,), np.add.accumulate(tail * (s - knots_y[:-2])), (1.0,)))
+    knots_v[-2] = 1.0  # exact by construction, pin against round-off
+    end = None if s[-1] < 1.0 else -1  # no closing knot when 1 is in the support
+    return PiecewiseLinear(knots_y[:end], knots_v[:end], label=label or "from_measure")
 
 
 def pprime_distortion(a: float) -> PiecewiseLinear:
@@ -348,18 +344,12 @@ def measure_from_distortion(psi: Distortion) -> DistortionMeasure | MeasureDescr
     if isinstance(psi, PiecewiseLinear):
         if not psi.concave:
             raise DomainError("measure extraction needs a concave distortion")
-        support: list[float] = []
-        weights: list[float] = []
         slopes = psi.slopes
-        for k in range(1, psi.knots_y.size - 1):
-            jump = psi.knots_y[k] * (slopes[k - 1] - slopes[k])
-            if jump > 0.0:
-                support.append(float(psi.knots_y[k]))
-                weights.append(float(jump))
-        if slopes[-1] > 0.0:
-            support.append(1.0)
-            weights.append(float(slopes[-1]))
-        return DistortionMeasure(np.asarray(support), np.asarray(weights))
+        # the slope drop at each inner knot times the knot, then the last slope at 1
+        support = np.concatenate((psi.knots_y[1:-1], (1.0,)))
+        weights = np.concatenate((support[:-1] * (slopes[:-1] - slopes[1:]), slopes[-1:]))
+        keep = weights > 0.0
+        return DistortionMeasure(support[keep], weights[keep])
     if not psi.regular:
         raise DomainError("measure extraction needs a concave distortion")
 
@@ -488,23 +478,20 @@ def check_family_monotone(family: DistortionFamily) -> FamilyReport:
     y_grid = np.linspace(0.0, 1.0, 41)
     failures: list[str] = []
 
-    vals = [np.asarray(family(x)(y_grid), dtype=float) for x in x_grid]
-    monotone_ok = True
-    for a, b in zip(vals[:-1], vals[1:]):
-        if np.any(b < a - SHAPE_TOL):
-            monotone_ok = False
+    def values(offset: float) -> np.ndarray:  # one row per grid parameter
+        return np.array([family(x + offset)(y_grid) for x in x_grid], dtype=float)
+
+    v = values(0.0)
+    monotone_ok = not np.any(v[1:] < v[:-1] - SHAPE_TOL)
     if not monotone_ok:
         failures.append("family not increasing in the index on the probe grid")
 
-    right_continuous_ok = True
-    for x, v in zip(x_grid, vals):
-        # estimate the right limit from two offsets; the linear extrapolation
-        # cancels the O(offset) drift of a smooth family while a genuine jump
-        # survives in full
-        v1 = np.asarray(family(x + PROBE_OFFSET)(y_grid), dtype=float)
-        v2 = np.asarray(family(x + 2.0 * PROBE_OFFSET)(y_grid), dtype=float)
-        if np.max(np.abs(2.0 * v1 - v2 - v)) > RIGHT_CONTINUITY_TOL:
-            right_continuous_ok = False
+    # estimate the right limit from two offsets; the linear extrapolation
+    # cancels the O(offset) drift of a smooth family while a genuine jump
+    # survives in full
+    v1, v2 = values(PROBE_OFFSET), values(2.0 * PROBE_OFFSET)
+    jumps = np.max(np.abs(2.0 * v1 - v2 - v), axis=1)
+    right_continuous_ok = not np.any(jumps > RIGHT_CONTINUITY_TOL)
     if not right_continuous_ok:
         failures.append("family fails the finite-offset right-continuity probe")
 

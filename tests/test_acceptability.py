@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from distrisk import (
-    AcceptabilityResult,
+    AdaptedValue,
     DistortionFamily,
     DomainError,
     Filtration,
@@ -21,6 +21,7 @@ from distrisk import (
 from distrisk import acceptability
 from distrisk.tolerance import INDEX_TOL
 
+import bruteforce
 from conftest import random_payoff, random_tree
 
 
@@ -56,6 +57,20 @@ class TestDcai:
         X = RandomVariable(np.zeros(2))
         out = dcai(space, filtration, X, 0, minvar_family())
         assert out.cell_values[0] == math.inf
+
+    def test_capped_bracket(self):
+        # accepted at every doubling up to 2**49 * X_MIN, about 5.6e5, so the
+        # bisection runs between that and the cap X_MAX; the risk
+        # 2 psi_x(1e-6) - 1 crosses zero where (1 - 1e-6)**(x + 1) = 1/2
+        space = ScenarioSpace(np.asarray([1e-6, 1.0 - 1e-6]))
+        filtration = Filtration((((0, 1),), ((0,), (1,))))
+        X = RandomVariable(np.asarray([-1.0, 1.0]))
+        family = minvar_family()
+        got = dcai(space, filtration, X, 0, family).cell_values[0]
+        assert got == 693145.8339663653
+        assert [got] == bruteforce.dcai(bruteforce.laws(space, filtration, X, 0), family)
+        exact = math.log(2.0) / -math.log1p(-1e-6) - 1.0
+        assert abs(got - exact) <= 1e-9 * exact
 
     def test_non_monotone_family_rejected(self):
         space, filtration = coin_tree()
@@ -106,7 +121,7 @@ class TestDcai:
         family = minvar_family()
         a = dcai(space, filtration, RandomVariable(np.asarray([4.0, -1.0, 2.0, 0.5])), 0, family)
         b = dcai(space, filtration, RandomVariable(np.asarray([-1.0, 2.0, 0.5, 4.0])), 0, family)
-        assert a.cell_values == b.cell_values
+        assert np.array_equal(a.cell_values, b.cell_values)
 
 
 class TestAxiomCheck:
@@ -158,7 +173,7 @@ def axiom_failures(monkeypatch, a_x, a_y, scaled=None, masked=None, mix=None, or
     )
 
     def fake_dcai(space, filtration, X, t, family, probe_family=True):
-        return AcceptabilityResult(t, next(results))
+        return AdaptedValue(t, next(results))
 
     monkeypatch.setattr(acceptability, "dcai", fake_dcai)
     space, filtration = coin_tree()

@@ -102,6 +102,22 @@ class TestSpecParsing:
         assert code == 2
         assert err.startswith(f"error: bad measure spec {spec!r}")
 
+    def test_unknown_distortion_kind_exits_2(self, capsys, nonmiddle_path):
+        code, err = run_failing(
+            capsys, "evaluate", nonmiddle_path, "--payoff", "X2",
+            "--t", "0", "--distortion", "foo:1",
+        )
+        assert code == 2
+        assert err == "error: unknown distortion kind 'foo'\n"
+
+    def test_unsorted_measure_exits_2(self, capsys, nonmiddle_path):
+        code, err = run_failing(
+            capsys, "dwvar", nonmiddle_path, "--payoff", "X2",
+            "--t", "0", "--measure", "0.5,0.5;0.25,0.5",
+        )
+        assert code == 2
+        assert "support must be strictly increasing" in err
+
     def test_measure_grammar(self):
         mu = parse_measure("0.25,0.5;1,0.5")
         assert list(mu.support) == [0.25, 1.0]
@@ -256,6 +272,18 @@ class TestCheck:
         )
         assert code == 0
         assert rep["results"]["verdict"] == "violated"
+
+    @pytest.mark.parametrize("prop, extra", [
+        ("middle-rejection", ("--distortion", "prop_hazard:0.5")),
+        ("dcai-weak-rejection", ()),
+    ])
+    def test_equal_times_exit_2(self, capsys, nonmiddle_path, prop, extra):
+        code, err = run_failing(
+            capsys, "check", nonmiddle_path, "--payoff", "X2", "--property", prop,
+            *extra, "--t", "1", "--s", "1",
+        )
+        assert code == 2
+        assert err == "error: need t < s\n"
 
     def test_checks_never_load_masked_arrays(self, nonmiddle_path):
         """One process running evaluate and the middle-rejection and

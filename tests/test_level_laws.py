@@ -18,7 +18,6 @@ import pytest
 
 import bruteforce
 from distrisk import (
-    AcceptabilityResult,
     AdaptedValue,
     DomainError,
     Filtration,
@@ -156,6 +155,7 @@ class TestEvaluatorsMatchPerCellPath:
             for t in range(filtration.horizon + 1):
                 got = dcai(space, filtration, X, t, family, probe_family=False).cell_values
                 want = bruteforce.dcai(bruteforce.laws(space, filtration, X, t), family)
+                assert np.all(got >= 0.0)
                 assert [math.isinf(v) for v in got] == [math.isinf(v) for v in want]
                 assert_close([v for v in got if not math.isinf(v)],
                              [v for v in want if not math.isinf(v)])
@@ -762,7 +762,7 @@ class TestCheckersMatchBruteForce:
             return AdaptedValue(t, values[t])
 
         def fake_dcai(space, filtration, X, t, family):
-            return AcceptabilityResult(t, tuple(values[t]))
+            return AdaptedValue(t, values[t])
 
         monkeypatch.setattr(consistency, "choquet", fake_choquet)
         monkeypatch.setattr(consistency, "dcai", fake_dcai)

@@ -326,6 +326,11 @@ class TestMinIid:
                 b = choquet(space, filtration, X, 1, MinVar(k - 1)).cell_values
                 assert np.max(np.abs(a - b)) <= 1e-12
 
+    def test_no_copies_rejected(self):
+        space, filtration, X = three_point()
+        with pytest.raises(DomainError, match="^copy count must be a positive integer$"):
+            min_iid_rho(space, filtration, X, 0, 0)
+
 
 class TestDcrmAxioms:
     def test_axiom_suite_small(self):

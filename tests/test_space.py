@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distrisk import (
+    AdaptedValue,
     DomainError,
     Filtration,
     RandomVariable,
@@ -126,6 +127,11 @@ class TestConditionalExpectation:
             )
             direct = conditional_expectation(space, filtration, X, 0)
             assert np.max(np.abs(outer.cell_values - direct.cell_values)) <= 1e-12
+
+    def test_lift_needs_one_value_per_cell(self):
+        _, filtration = binomial_tree()
+        with pytest.raises(DomainError, match="^cell value count does not match partition$"):
+            lift(filtration, AdaptedValue(1, [1.0, 2.0, 3.0]))
 
     def test_quantile_step_integral_matches_mean(self):
         # the mean is the integral of the lower quantile over levels in (0,1)
