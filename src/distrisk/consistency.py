@@ -195,7 +195,7 @@ def check_weak_rejection_dcai(
     if t >= s:
         raise DomainError("need t < s")
     a_t = dcai(space, filtration, X, t, family).cell_values
-    a_s = dcai(space, filtration, X, s, family).cell_values
+    a_s = dcai(space, filtration, X, s, family, probe_family=False).cell_values  # probed above
     parent = filtration.parent(t, s)
     # child j's index m = a_s[j] is a violating level of its parent k when
     # every child of k is at or below m and k itself is above it

@@ -6,9 +6,12 @@ tail-mean integrals are step integrals with closed-form pieces.  All
 operations return one value per information cell at the requested time; each
 reads the payoff's laws on the whole level (:class:`~distrisk.space.LevelLaws`)
 and evaluates every cell in the same few array expressions.  A payoff is
-sorted by value once, on first use, and keeps the laws of the two levels it
-was last evaluated on (:func:`~distrisk.space.level_laws`), so evaluating it
-again at those levels builds nothing.  The ``distribution_*`` functions
+sorted by value once, on first use, and keeps the laws of every level it was
+evaluated on, for the space and filtration of its last evaluation
+(:func:`~distrisk.space.level_laws`), so evaluating it again on that tree, at
+any level seen before, builds nothing; another space or filtration replaces
+the kept laws, so a payoff holds at most one tree's levels, 36 bytes per
+merged point and 24 per cell on each.  The ``distribution_*`` functions
 compute the same quantities on one :class:`~distrisk.space.DiscreteDistribution`
 and serve as the per-cell reference.
 """
@@ -39,7 +42,7 @@ def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
     -sum_i x_i (psi(F_i) - psi(F_{i-1})), the exact value of the
     tail-distorted integral for step distributions.
     """
-    F = np.cumsum(dist.weights)
+    F = np.minimum(np.cumsum(dist.weights), 1.0)  # round-off may pass 1 early
     F[-1] = 1.0
     psi_F = np.asarray(psi(F), dtype=float)
     increments = np.diff(np.concatenate(([0.0], psi_F)))

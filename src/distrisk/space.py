@@ -171,12 +171,14 @@ class Filtration:
         return self._cell_of[self._check_time(t)]
 
     def parent(self, t: int, s: int) -> np.ndarray:
-        """Index of the t-cell containing each s-cell.
+        """Index of the t-cell containing each s-cell, for t <= s.
 
         Read off at the first listed atom of every s-cell; when the level at s
         refines the level at t, that is the t-cell holding the whole s-cell.
         """
-        sizes = self._sizes[self._check_time(s)]
+        if self._check_time(s) < self._check_time(t):
+            raise DomainError("need t <= s")
+        sizes = self._sizes[s]
         first = self._atoms[s][np.cumsum(sizes) - sizes]
         return self.cell_of_atom(t)[first]
 
@@ -186,10 +188,10 @@ class RandomVariable:
     """Terminal payoff: one real value per atom.
 
     Besides its values, a payoff keeps what evaluating it costs to work out:
-    its value order (:attr:`value_order`) and the laws of the two levels it
-    was last evaluated on (:func:`level_laws`).  Neither is a field, so the
-    constructor, ``==``, ``repr`` and ``dataclasses.replace`` see only the
-    values, and a replaced payoff starts with nothing kept.
+    its value order (:attr:`value_order`) and the laws of every level of the
+    tree it was last evaluated on (:func:`level_laws`).  Neither is a field,
+    so the constructor, ``==``, ``repr`` and ``dataclasses.replace`` see only
+    the values, and a replaced payoff starts with nothing kept.
     """
 
     values: np.ndarray
@@ -215,9 +217,9 @@ class RandomVariable:
 
     @functools.cached_property
     def _kept_laws(self) -> list:
-        """(space, filtration, t, laws) of the levels last evaluated, the
-        most recent first; kept and evicted by :func:`level_laws`."""
-        return []
+        """[space, filtration, {t: laws}] of the tree last evaluated; kept
+        and replaced by :func:`level_laws`."""
+        return [None, None, {}]
 
 
 @dataclass(frozen=True)
@@ -340,8 +342,8 @@ class LevelLaws:
     - ``cell``: the cell of each point;
     - ``support``: its value, strictly increasing within a cell;
     - ``weights``: its probability conditional on the cell;
-    - ``F``: cumulative conditional weight within the cell, exactly 1 at the
-      cell's last point;
+    - ``F``: cumulative conditional weight within the cell, at most 1 and
+      exactly 1 at the cell's last point;
     - ``lo``: the left end of the point's level interval, that is ``F`` of
       the previous point of the same cell, 0 at a cell's first point;
 
@@ -398,6 +400,7 @@ class LevelLaws:
             else:
                 rows = self.start[cells, None] + np.arange(size)
                 self.F[rows] = np.cumsum(self.weights[rows], axis=1)
+        np.minimum(self.F, 1.0, out=self.F)  # round-off may pass 1 before the last point
         self.F[self.stop - 1] = 1.0
         self.lo = self.shift(self.F)
         for array in (self.cell, self.support, self.weights, self.F, self.lo,
@@ -421,33 +424,30 @@ class LevelLaws:
         return self.start + np.add.reduceat(~mask, self.start, dtype=np.intp)
 
 
-KEPT_LEVELS = 2  # every checker, and avar with avar_robust, reads at most two
-
-
 def level_laws(
     space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
 ) -> LevelLaws:
     """The payoff's :class:`LevelLaws` at time t, built on first use and kept
     on the payoff.
 
-    A payoff keeps the laws of the ``KEPT_LEVELS`` levels it was most
-    recently evaluated on, each keyed by the identity of the space and of the
-    filtration (both held, so an id cannot be reused) and by t; an equal but
-    distinct space or filtration gets laws of its own.  The arguments are
-    checked before the lookup exactly as a build checks them, so a bad call
-    raises the same error however warm the payoff is.
+    A payoff keeps the laws of every level it was evaluated on, for the space
+    and filtration of its last evaluation, compared by identity (both held, so
+    an id cannot be reused).  A call with another space or filtration, even
+    an equal one, drops the kept laws and starts anew, so a payoff keeps at
+    most one tree's levels: per level, 36 bytes per merged point and 24 per
+    cell.  The arguments are checked before the lookup exactly as a build
+    checks them, so a bad call raises the same error however warm the payoff
+    is.
     """
     _check_sizes(space, filtration, X)
     filtration.cell_of_atom(t)  # a bad t fails here as it fails a build
     t = operator.index(t)
     kept = X._kept_laws
-    for i, (s, f, u, laws) in enumerate(kept):
-        if s is space and f is filtration and u == t:
-            kept.insert(0, kept.pop(i))
-            return laws
-    laws = LevelLaws(space, filtration, X, t)
-    kept.insert(0, (space, filtration, t, laws))
-    del kept[KEPT_LEVELS:]
+    if kept[0] is not space or kept[1] is not filtration:
+        kept[:] = space, filtration, {}
+    laws = kept[2].get(t)
+    if laws is None:
+        laws = kept[2][t] = LevelLaws(space, filtration, X, t)
     return laws
 
 

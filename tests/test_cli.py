@@ -230,6 +230,28 @@ class TestOtherCommands:
         )
         assert rep["results"]["index"] == [0.0]
 
+    def test_cumulative_weight_rounding_past_one(self, capsys, tmp_path):
+        """A cell whose running weight rounds above 1 before its last point
+        (0.342 + 0.558 + 0.1 with a 5e-17 atom last) is a valid tree."""
+        path = tmp_path / "round.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "atoms": [{"probability": p, "payoffs": {"X": x}}
+                      for p, x in ((0.342, 0.0), (0.558, 1.0), (0.1, 2.0), (5e-17, 3.0))],
+            "filtration": [[[0, 1, 2, 3]], [[0], [1], [2], [3]]],
+        }))
+        code, rep = run(capsys, "evaluate", str(path), "--payoff", "X", "--t", "0",
+                        "--distortion", "minvar:1")
+        assert code == 0
+        # minus the mean of the smaller of two copies: P(min >= 1) + P(min >= 2)
+        assert rep["results"]["risk"] == [pytest.approx(-(0.658**2 + 0.1**2), rel=1e-14)]
+        code, rep = run(capsys, "dcai", str(path), "--payoff", "X", "--t", "0",
+                        "--family", "family:minvar")
+        assert (code, rep["results"]["index"]) == (0, ["inf"])
+        code, rep = run(capsys, "check", str(path), "--payoff", "X", "--property",
+                        "submartingale", "--distortion", "minvar:1", "--t", "0", "--s", "1")
+        assert (code, rep["results"]["verdict"]) == (0, "holds")
+
 
 class TestCheck:
     def test_capped_index_is_strict_json(self, capsys, tmp_path):

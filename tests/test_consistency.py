@@ -26,6 +26,7 @@ from distrisk import (
     minvar_family,
     pprime_measure,
 )
+from distrisk import acceptability
 from distrisk.consistency import is_pprime
 
 from conftest import random_measure, random_payoff, random_regular_distortion, random_tree
@@ -128,6 +129,20 @@ class TestDcaiWeakRejection:
                 space, filtration, X, minvar_family(), 0, filtration.horizon
             )
             assert rep.holds, rep
+
+    def test_family_probed_once(self, monkeypatch):
+        probe = acceptability.check_family_monotone
+        probed = []
+
+        def counting(family):
+            probed.append(family)
+            return probe(family)
+
+        monkeypatch.setattr(acceptability, "check_family_monotone", counting)
+        ce = build_weakacc_pprime(2.0)
+        family = minvar_family()
+        assert check_weak_rejection_dcai(ce.space, ce.filtration, ce.X, family, 0, 1).holds
+        assert probed == [family]
 
 
 class TestMiddleRejection:

@@ -216,6 +216,44 @@ class TestLevelLaws:
                     assert np.array_equal(laws.F[a:b - 1], np.cumsum(laws.weights[a:b])[:-1])
                     assert laws.F[b - 1] == 1.0
 
+    def test_F_stays_at_most_one(self):
+        """Cells whose running weight rounds above 1 before a last atom of
+        probability below 1e-17: F is clipped at 1, and the distorted risk
+        and the index match the per-cell path, which clips the same way."""
+        gen = np.random.default_rng(293)
+        cells, probs = [], []
+        for _ in range(400):
+            k = int(gen.integers(3, 9))
+            w = np.round(gen.uniform(0.1, 1.0, k), 3)
+            w[-1] = gen.uniform(1e-19, 1e-17)
+            cells.append(tuple(range(len(probs), len(probs) + k)))
+            probs.extend((w / w.sum() / 400).tolist())
+        n = len(probs)
+        space = ScenarioSpace(probs)
+        filtration = Filtration(((tuple(range(n)),), tuple(cells), tuple((i,) for i in range(n))))
+        X = RandomVariable(np.concatenate([np.arange(len(c), dtype=float) for c in cells]))
+        laws = LevelLaws(space, filtration, X, 1)
+        past_one = [np.cumsum(laws.weights[a:b])[:-1].max() > 1.0
+                    for a, b in zip(laws.start, laws.stop)]
+        assert sum(past_one) > 0
+        assert laws.F.max() == 1.0 and np.all(laws.lo <= laws.F)
+        cell_laws = bruteforce.laws(space, filtration, X, 1)
+        psi = MinVar(1.0)
+        assert_close(choquet(space, filtration, X, 1, psi).cell_values,
+                     bruteforce.choquet(cell_laws, psi))
+        family = minvar_family()
+        picked = [k for k, hit in enumerate(past_one) if hit][:5]
+        got = dcai(space, filtration, X, 1, family).cell_values[picked]
+        assert np.array_equal(got, bruteforce.dcai([cell_laws[k] for k in picked], family))
+        # the smallest such cell, on its own
+        space = ScenarioSpace([0.342, 0.558, 0.1, 5e-17])
+        filtration = Filtration((((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
+        X = RandomVariable([0.0, 1.0, 2.0, 3.0])
+        assert LevelLaws(space, filtration, X, 0).F.tolist() == [0.342, 0.9000000000000001, 1.0, 1.0]
+        d = conditional_distribution(space, filtration, X, 0, 0)
+        assert choquet(space, filtration, X, 0, psi).cell_values[0] == risk.distribution_choquet(d, psi)
+        assert dcai(space, filtration, X, 0, family).cell_values.tolist() == [math.inf]
+
 
 LAW_FIELDS = ("cell", "support", "weights", "F", "lo", "start", "stop")
 
@@ -471,19 +509,65 @@ class TestKeptLaws:
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
-    def test_third_level_evicts_least_recently_used(self):
+    def test_one_build_per_level_across_passes(self, monkeypatch):
+        """Two passes of the benchmark's many-cells op order on one payoff,
+        its levels 12, 8, 11 and 7 mapped to 4, 2, 3 and 1 of a depth-4
+        binary tree: each level's laws are built once."""
+        n = 16
+        gen = np.random.default_rng(283)
+        p = gen.uniform(0.5, 1.5, n)
+        space = ScenarioSpace(p / p.sum())
+        filtration = Filtration([
+            [tuple(range(a, a + n // 2**d)) for a in range(0, n, n // 2**d)]
+            for d in range(5)
+        ])
+        X = RandomVariable(gen.integers(-3, 4, size=n).astype(float))
+        psi, family = MinVar(2.0), minvar_family()
+        mu = random_measure(gen)
+        ops = [
+            lambda: choquet(space, filtration, X, 4, psi),
+            lambda: quantile_upper(space, filtration, X, 4, 0.05),
+            lambda: avar(space, filtration, X, 4, 0.05),
+            lambda: dwvar(space, filtration, X, 4, mu),
+            lambda: dcai(space, filtration, X, 2, family),
+            lambda: check_submartingale(space, filtration, X, psi, 3, 4),
+            lambda: avar_robust(space, filtration, X, 4, 0.05),
+            lambda: dcai(space, filtration, X, 2, family),
+            lambda: check_super_strict_failure(space, filtration, X, psi, 3),
+            lambda: var(space, filtration, X, 4, 0.05),
+            lambda: check_weak_acceptance(space, filtration, X, psi, 3, 4),
+            lambda: min_iid_rho(space, filtration, X, 4, 3),
+            lambda: check_weak_rejection_dcai(space, filtration, X, family, 1, 2),
+            lambda: middle_rejection_probe(space, filtration, X, psi, 3, 4),
+        ]
+        built = []
+        init = LevelLaws.__init__
+
+        def counting(self, space, filtration, X, t):
+            built.append(t)
+            init(self, space, filtration, X, t)
+
+        monkeypatch.setattr(LevelLaws, "__init__", counting)
+        for _ in range(2):
+            for op in ops:
+                op()
+        assert sorted(built) == [1, 2, 3, 4]
+
+    def test_other_space_or_filtration_replaces_kept_laws(self):
         space, filtration, X = tie_heavy_tree()
         at0 = level_laws(space, filtration, X, 0)
         at1 = level_laws(space, filtration, X, 1)
-        assert level_laws(space, filtration, X, 0) is at0  # 1 is now the older
-        at2 = level_laws(space, filtration, X, 2)
-        assert level_laws(space, filtration, X, 0) is at0
-        assert level_laws(space, filtration, X, 2) is at2
-        again = level_laws(space, filtration, X, 1)
-        assert again is not at1
-        assert again.support.tobytes() == at1.support.tobytes()
-        assert level_laws(space, filtration, X, 2) is at2  # 0 went, not 2
-        assert level_laws(space, filtration, X, 0) is not at0
+        other_space = ScenarioSpace(space.probabilities[::-1])
+        other_filtration = Filtration(filtration.partitions)
+        for s, f in ((other_space, filtration), (space, other_filtration),
+                     (space, filtration)):
+            got = [level_laws(s, f, X, t) for t in (0, 1, 2)]
+            assert got[0] is not at0 and got[1] is not at1
+            for t, laws in enumerate(got):
+                assert level_laws(s, f, X, t) is laws
+                want = LevelLaws(s, f, X, t)
+                for name in LAW_FIELDS:
+                    assert getattr(laws, name).tobytes() == getattr(want, name).tobytes()
 
     def test_equal_but_distinct_space_or_filtration_misses(self):
         space, filtration, X = tie_heavy_tree()
@@ -597,6 +681,15 @@ class TestFiltrationArrays:
                                   bruteforce.cell_of_atom(filtration, t))
             for s in range(t, filtration.horizon + 1):
                 assert list(filtration.parent(t, s)) == bruteforce.parent(filtration, t, s)
+
+    def test_parent_needs_t_at_most_s(self):
+        filtration = Filtration((((0, 1, 2, 3),), ((0, 1), (2, 3)), ((0,), (1,), (2,), (3,))))
+        assert list(filtration.parent(1, 1)) == [0, 1]
+        for t, s in ((2, 1), (1, 0), (2, 0)):
+            with pytest.raises(DomainError, match="need t <= s"):
+                filtration.parent(t, s)
+        with pytest.raises(DomainError, match="outside"):
+            filtration.parent(3, 1)
 
     def test_maps_are_read_only(self):
         filtration = self.non_contiguous()
@@ -761,7 +854,7 @@ class TestCheckersMatchBruteForce:
         def fake_choquet(space, filtration, X, t, psi):
             return AdaptedValue(t, values[t])
 
-        def fake_dcai(space, filtration, X, t, family):
+        def fake_dcai(space, filtration, X, t, family, probe_family=True):
             return AdaptedValue(t, values[t])
 
         monkeypatch.setattr(consistency, "choquet", fake_choquet)
