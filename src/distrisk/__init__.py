@@ -15,6 +15,7 @@ from .space import (
     validate,
 )
 from .distortion import (
+    CheckReport,
     Distortion,
     DistortionFamily,
     DistortionMeasure,

@@ -9,11 +9,15 @@ bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionFamily, check_family_monotone
+from .distortion import (
+    FAMILY_NOT_INCREASING,
+    CheckReport,
+    DistortionFamily,
+    check_family_monotone,
+)
 from .space import (
     AdaptedValue,
     DomainError,
@@ -29,8 +33,10 @@ from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
 def _rho_at(support, F, family, x: float) -> float:
     """Risk of one cell's law (sorted support, cumulative weights F) under
     the family member x."""
-    psi_F = np.asarray(family(x)(F), dtype=float)
-    return -float(support @ np.diff(psi_F, prepend=0.0))
+    # summed by numpy, not by a BLAS dot, whose cost varies with its threads
+    terms = np.diff(np.asarray(family(x)(F), dtype=float), prepend=0.0)
+    terms *= support
+    return -float(np.add.reduce(terms))
 
 
 def _halve(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -76,25 +82,18 @@ def dcai(
     is rejected, math.inf when the risk stays non-positive up to the bracket
     cap ``X_MAX``, and otherwise the bisected boundary of the acceptance
     interval to width ``BISECT_TOL``.
+
+    With ``probe_family`` the family is first probed with
+    :func:`check_family_monotone`, and only its monotonicity failure rejects
+    it (DomainError): a right-continuity failure alone does not.
     """
-    if probe_family:
-        report = check_family_monotone(family)
-        if not report.monotone_ok:
-            raise DomainError("family is not increasing on the probe grid")
+    if probe_family and FAMILY_NOT_INCREASING in check_family_monotone(family).failures:
+        raise DomainError("family is not increasing on the probe grid")
     laws = level_laws(space, filtration, X, t)
     return AdaptedValue(t, [
         _cell_index(laws.support[a:b], laws.F[a:b], family)
         for a, b in zip(laws.start, laws.stop)
     ])
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 def dcai_axiom_check(
@@ -104,7 +103,7 @@ def dcai_axiom_check(
     Y: RandomVariable,
     t: int,
     family: DistortionFamily,
-) -> AxiomReport:
+) -> CheckReport:
     """Spot-check the index axioms on a concrete pair of payoffs.
 
     Monotonicity is checked only when X <= Y pointwise; scaling uses a fixed
@@ -137,10 +136,9 @@ def dcai_axiom_check(
         for lam in (0.25, 0.5, 0.75)
     ]
     quasi_concave_ok = at_most(np.minimum(a_x, a_y), np.min(mixes, axis=0))
-    verdicts = (
+    return CheckReport.of(
         (monotone_ok, "monotonicity: X <= Y but index decreased"),
         (scale_invariant_ok, "scale invariance: positive measurable scaling moved the index"),
         (local_ok, "locality: masking other cells changed the index on cell 0"),
         (quasi_concave_ok, "quasi-concavity: a mixture fell below both endpoints"),
     )
-    return AxiomReport(tuple(message for ok, message in verdicts if not ok))

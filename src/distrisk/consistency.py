@@ -1,9 +1,11 @@
 """Time-consistency checks and the explicit counterexamples.
 
 Checkers compare the risk at an earlier time with per-cell aggregates of the
-risk at a later time and report margins with witnesses.  Builders construct
-the three scenario trees on which the stronger consistency notions provably
-fail, each carrying its expected values and verifying itself on construction.
+risk at a later time.  Each returns a ConsistencyReport of its per-cell
+margins and the witness of a violation, if any: the verdict is "violated"
+exactly when there is a witness.  Builders construct the three scenario
+trees on which the stronger consistency notions provably fail, each carrying
+its expected values and verifying itself on construction.
 """
 
 from __future__ import annotations
@@ -49,24 +51,21 @@ from .tolerance import (
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    property_name: str
-    t: int
+    """A checker's later time s (None for super-strict), its per-cell
+    margins at t (the risk or index at t for the two weak checks) and the
+    violating cell's witness, or None when the property holds."""
+
     s: int | None
     margins: tuple[float, ...]
-    verdict: str  # "holds" or "violated"
     witness: dict | None = None
 
     @property
     def holds(self) -> bool:
-        return self.verdict == "holds"
+        return self.witness is None
 
-
-def _report(
-    name: str, t: int, s: int | None, values, witness: dict | None
-) -> ConsistencyReport:
-    """A checker's report: violated exactly when there is a witness."""
-    verdict = "holds" if witness is None else "violated"
-    return ConsistencyReport(name, t, s, tuple(map(float, values)), verdict, witness)
+    @property
+    def verdict(self) -> str:
+        return "holds" if self.holds else "violated"
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ def check_submartingale(
     witness = None
     if not margins[bad] >= -SUBMARTINGALE_TOL:
         witness = {"cell": bad, "margin": float(margins[bad])}
-    return _report("submartingale", t, s, margins, witness)
+    return ConsistencyReport(s, tuple(map(float, margins)), witness)
 
 
 def check_super_strict_failure(
@@ -155,7 +154,7 @@ def check_super_strict_failure(
     if not np.all(ok):
         k = int(np.argmin(ok))
         witness = {"cell": k, "margin": float(margins[k]), "constant": bool(constant[k])}
-    return _report("super_strict_failure", t, None, margins, witness)
+    return ConsistencyReport(None, tuple(map(float, margins)), witness)
 
 
 def check_weak_acceptance(
@@ -181,7 +180,7 @@ def check_weak_acceptance(
             "rho_t": float(rho_t[k]),
             "rho_s_children": [float(v) for v in rho_s[parent == k]],
         }
-    return _report("weak_acceptance", t, s, rho_t, witness)
+    return ConsistencyReport(s, tuple(map(float, rho_t)), witness)
 
 
 def check_weak_rejection_dcai(
@@ -213,7 +212,7 @@ def check_weak_rejection_dcai(
             "index_t": float(a_t[k]),
             "index_s_children": [float(v) for v in a_s[parent == k]],
         }
-    return _report("dcai_weak_rejection", t, s, a_t, witness)
+    return ConsistencyReport(s, tuple(map(float, a_t)), witness)
 
 
 def middle_rejection_probe(
@@ -246,7 +245,7 @@ def middle_rejection_probe(
             "rho_t_X": float(rho_t_x[bad]),
             "rho_t_Y": float(rho_t_y[bad]),
         }
-    return _report("middle_rejection", t, s, margins, witness)
+    return ConsistencyReport(s, tuple(map(float, margins)), witness)
 
 
 def build_nonmiddle_example() -> Counterexample:

@@ -370,20 +370,22 @@ def m_mu(mu: DistortionMeasure) -> float:
 
 
 @dataclass(frozen=True)
-class RegularityReport:
-    boundary_ok: bool
-    monotone_ok: bool
-    concave_ok: bool
-    continuous_ok: bool
-    dominates_ok: bool | None  # None when the identity exclusion applies
+class CheckReport:
+    """What a premise check found wrong: one message per failed test."""
+
     failures: tuple[str, ...]
+
+    @classmethod
+    def of(cls, *checks) -> CheckReport:
+        """The report on (ok, message) pairs: the messages of those not ok."""
+        return cls(tuple(message for ok, message in checks if not ok))
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-def check_regular(psi: Distortion) -> RegularityReport:
+def check_regular(psi: Distortion) -> CheckReport:
     """Grid-based regularity verdicts: boundaries, monotone, concave,
     continuity proxy, and strict domination of the diagonal for non-identity
     maps.
@@ -396,40 +398,21 @@ def check_regular(psi: Distortion) -> RegularityReport:
     grid = np.arange(0.0, 1.0 + REGULARITY_GRID_STEP / 2, REGULARITY_GRID_STEP)
     grid[-1] = 1.0
     vals = np.asarray(psi(grid), dtype=float)
-    failures: list[str] = []
-
-    boundary_ok = vals[0] == 0.0 and vals[-1] == 1.0
-    if not boundary_ok:
-        failures.append("boundary: psi(0) != 0 or psi(1) != 1")
-
-    diffs = np.diff(vals)
-    monotone_ok = bool(np.all(diffs >= -SHAPE_TOL))
-    if not monotone_ok:
-        failures.append("monotone: decreasing step on grid")
-
     mid = psi((grid[:-2] + grid[2:]) / 2.0)
-    concave_ok = bool(np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - SHAPE_TOL))
-    if not concave_ok:
-        failures.append("concave: midpoint test failed on grid")
-
     k = np.arange(int(np.log(np.finfo(float).tiny) / np.log(CONTINUITY_GRID_RATIO)) + 1)
     fine = np.union1d(grid, CONTINUITY_GRID_RATIO ** k)
     steps = np.abs(np.diff(np.asarray(psi(fine), dtype=float)))
-    continuous_ok = bool(np.max(steps) <= 100.0 * REGULARITY_GRID_STEP)
-    if not continuous_ok:
-        failures.append("continuous: grid jump exceeds proxy bound")
-
     inner = grid[1:-1]
-    if psi.is_identity() or np.max(np.abs(vals - grid)) == 0.0:
-        dominates_ok = None
-    else:
-        dominates_ok = bool(np.all(psi(inner) > inner))
-        if not dominates_ok:
-            failures.append("domination: psi(y) <= y at an interior grid point")
-
-    return RegularityReport(
-        boundary_ok, monotone_ok, concave_ok, continuous_ok, dominates_ok,
-        tuple(failures),
+    identity = psi.is_identity() or np.max(np.abs(vals - grid)) == 0.0
+    return CheckReport.of(
+        (vals[0] == 0.0 and vals[-1] == 1.0, "boundary: psi(0) != 0 or psi(1) != 1"),
+        (np.all(np.diff(vals) >= -SHAPE_TOL), "monotone: decreasing step on grid"),
+        (np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - SHAPE_TOL),
+         "concave: midpoint test failed on grid"),
+        (np.max(steps) <= 100.0 * REGULARITY_GRID_STEP,
+         "continuous: grid jump exceeds proxy bound"),
+        (identity or np.all(psi(inner) > inner),
+         "domination: psi(y) <= y at an interior grid point"),
     )
 
 
@@ -461,38 +444,25 @@ def minmaxvar_family() -> DistortionFamily:
     return DistortionFamily(MinMaxVar, name=MinMaxVar.kind)
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    monotone_ok: bool
-    right_continuous_ok: bool
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
+FAMILY_NOT_INCREASING = "family not increasing in the index on the probe grid"
 
 
-def check_family_monotone(family: DistortionFamily) -> FamilyReport:
+def check_family_monotone(family: DistortionFamily) -> CheckReport:
     """Probe monotonicity in the index and right-continuity by finite offset."""
     x_grid = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     y_grid = np.linspace(0.0, 1.0, 41)
-    failures: list[str] = []
 
     def values(offset: float) -> np.ndarray:  # one row per grid parameter
         return np.array([family(x + offset)(y_grid) for x in x_grid], dtype=float)
 
     v = values(0.0)
-    monotone_ok = not np.any(v[1:] < v[:-1] - SHAPE_TOL)
-    if not monotone_ok:
-        failures.append("family not increasing in the index on the probe grid")
-
     # estimate the right limit from two offsets; the linear extrapolation
     # cancels the O(offset) drift of a smooth family while a genuine jump
     # survives in full
     v1, v2 = values(PROBE_OFFSET), values(2.0 * PROBE_OFFSET)
     jumps = np.max(np.abs(2.0 * v1 - v2 - v), axis=1)
-    right_continuous_ok = not np.any(jumps > RIGHT_CONTINUITY_TOL)
-    if not right_continuous_ok:
-        failures.append("family fails the finite-offset right-continuity probe")
-
-    return FamilyReport(monotone_ok, right_continuous_ok, tuple(failures))
+    return CheckReport.of(
+        (not np.any(v[1:] < v[:-1] - SHAPE_TOL), FAMILY_NOT_INCREASING),
+        (not np.any(jumps > RIGHT_CONTINUITY_TOL),
+         "family fails the finite-offset right-continuity probe"),
+    )

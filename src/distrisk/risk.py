@@ -46,7 +46,7 @@ def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
     F[-1] = 1.0
     psi_F = np.asarray(psi(F), dtype=float)
     increments = np.diff(np.concatenate(([0.0], psi_F)))
-    return -float(dist.support @ increments)
+    return -float(np.add.reduce(dist.support * increments))
 
 
 def choquet(

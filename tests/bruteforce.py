@@ -156,20 +156,15 @@ def check_super_strict_failure(space, filtration, X, psi, t):
     neg_mean = -consistency.conditional_expectation(space, filtration, X, t).cell_values
     margins = rho_t.cell_values - neg_mean
     cell_of = cell_of_atom(filtration, t)
-    verdict = "holds"
     witness = None
     for k in range(filtration.n_cells(t)):
         vals = X.values[cell_of == k]
         constant = bool(np.all(vals == vals[0]))
         ok = abs(margins[k]) <= LEQ_TOL if constant else margins[k] > LEQ_TOL
         if not ok:
-            verdict = "violated"
             witness = {"cell": k, "margin": float(margins[k]), "constant": constant}
             break
-    return ConsistencyReport(
-        "super_strict_failure", t, None, tuple(float(m) for m in margins),
-        verdict, witness,
-    )
+    return ConsistencyReport(None, tuple(float(m) for m in margins), witness)
 
 
 def check_submartingale(space, filtration, X, psi, t, s):
@@ -181,10 +176,7 @@ def check_submartingale(space, filtration, X, psi, t, s):
     witness = None
     if not margins[bad] >= -SUBMARTINGALE_TOL:
         witness = {"cell": bad, "margin": float(margins[bad])}
-    return ConsistencyReport(
-        "submartingale", t, s, tuple(float(m) for m in margins),
-        "holds" if witness is None else "violated", witness,
-    )
+    return ConsistencyReport(s, tuple(float(m) for m in margins), witness)
 
 
 def middle_rejection_probe(space, filtration, X, psi, t, s):
@@ -201,31 +193,24 @@ def middle_rejection_probe(space, filtration, X, psi, t, s):
             "rho_t_X": float(rho_t_x[bad]),
             "rho_t_Y": float(rho_t_y[bad]),
         }
-    return ConsistencyReport(
-        "middle_rejection", t, s, tuple(float(m) for m in margins),
-        "holds" if witness is None else "violated", witness,
-    )
+    return ConsistencyReport(s, tuple(float(m) for m in margins), witness)
 
 
 def check_weak_acceptance(space, filtration, X, psi, t, s):
     rho_t = consistency.choquet(space, filtration, X, t, psi).cell_values
     rho_s = consistency.choquet(space, filtration, X, s, psi).cell_values
     par = parent(filtration, t, s)
-    verdict = "holds"
     witness = None
     for k in range(filtration.n_cells(t)):
         children = [j for j, p in enumerate(par) if p == k]
         if all(rho_s[j] <= LEQ_TOL for j in children) and rho_t[k] > LEQ_TOL:
-            verdict = "violated"
             witness = {
                 "cell": k,
                 "rho_t": float(rho_t[k]),
                 "rho_s_children": [float(rho_s[j]) for j in children],
             }
             break
-    return ConsistencyReport(
-        "weak_acceptance", t, s, tuple(float(v) for v in rho_t), verdict, witness
-    )
+    return ConsistencyReport(s, tuple(float(v) for v in rho_t), witness)
 
 
 def check_weak_rejection_dcai(space, filtration, X, family, t, s):
@@ -233,7 +218,6 @@ def check_weak_rejection_dcai(space, filtration, X, family, t, s):
     a_s = consistency.dcai(space, filtration, X, s, family).cell_values
     par = parent(filtration, t, s)
     index_slack = 1e-6
-    verdict = "holds"
     witness = None
     for k in range(filtration.n_cells(t)):
         children = [j for j, p in enumerate(par) if p == k]
@@ -241,7 +225,6 @@ def check_weak_rejection_dcai(space, filtration, X, family, t, s):
             if math.isinf(m):
                 continue
             if all(a_s[j] <= m + index_slack for j in children) and a_t[k] > m + index_slack:
-                verdict = "violated"
                 witness = {
                     "cell": k,
                     "level": float(m),
@@ -251,9 +234,7 @@ def check_weak_rejection_dcai(space, filtration, X, family, t, s):
                 break
         if witness:
             break
-    return ConsistencyReport(
-        "dcai_weak_rejection", t, s, tuple(float(v) for v in a_t), verdict, witness
-    )
+    return ConsistencyReport(s, tuple(float(v) for v in a_t), witness)
 
 
 def validate(probabilities, partitions, *value_vectors):

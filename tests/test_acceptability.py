@@ -13,6 +13,7 @@ from distrisk import (
     MinVar,
     RandomVariable,
     ScenarioSpace,
+    check_family_monotone,
     choquet,
     dcai,
     dcai_axiom_check,
@@ -78,6 +79,22 @@ class TestDcai:
         bad = DistortionFamily(lambda x: MinVar(1.0 / x), name="inverted")
         with pytest.raises(DomainError):
             dcai(space, filtration, X, 0, bad)
+
+    def test_right_discontinuous_family_still_indexed(self):
+        # increasing in the index but left-continuous at the integers: the
+        # probe flags right-continuity only, and only monotonicity rejects
+        family = DistortionFamily(lambda x: MinVar(math.ceil(x)), name="ceil")
+        assert check_family_monotone(family).failures == (
+            "family fails the finite-offset right-continuity probe",
+        )
+        space = ScenarioSpace(np.full(4, 0.25))
+        filtration = Filtration((
+            ((0, 1, 2, 3),), ((0, 1), (2, 3)), ((0,), (1,), (2,), (3,)),
+        ))
+        X = RandomVariable(np.asarray([3.0, 1.0, 2.0, -1.0]))
+        got = dcai(space, filtration, X, 1, family).cell_values
+        assert got.tolist() == [math.inf, 0.0]
+        assert got.tolist() == bruteforce.dcai(bruteforce.laws(space, filtration, X, 1), family)
 
     def test_bisection_sandwich(self):
         gen = np.random.default_rng(47)
