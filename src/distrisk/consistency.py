@@ -388,5 +388,6 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     )
     rho1_middle = -b - (d - a) / 2.0 * m
     expected = {"rho_1": [rho1_outer, rho1_middle], "rho_0": [rho0]}
+    tol = 10.0 * (d - a) / n * max(1.0, psi.right_derivative(0.0))  # psi's steepest slope
     return Counterexample(f"weakacc_continuous_n{n}", space, filtration,
-                          RandomVariable(values), psi, expected, 10.0 * (d - a) / n)
+                          RandomVariable(values), psi, expected, tol)

@@ -80,11 +80,22 @@ def _level_arrays(level) -> Level:
     entries too large for an int32, and truncates a float); a Level as it is."""
     if isinstance(level, Level):
         return level
-    sizes = np.fromiter(map(len, level), dtype=np.int32)
-    atoms = np.fromiter(
-        itertools.chain.from_iterable(level), dtype=np.int32, count=int(sizes.sum())
-    )
-    return Level(atoms, sizes)
+    atoms = np.fromiter(itertools.chain.from_iterable(level), dtype=np.int32)
+    if atoms.size == len(level) and all(map(len, level)):  # by length: bool() of an array raises
+        return Level(atoms, np.ones(atoms.size, dtype=np.int32))
+    return Level(atoms, np.fromiter(map(len, level), dtype=np.int32))
+
+
+def _cell_map(atoms: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray | None:
+    """A level's atom -> cell map, or None where it does not partition 0..n-1:
+    n atoms in [0, n) scattered once cover every atom when no -1 is left."""
+    if not (atoms.size == n == sizes.sum() and sizes.all()
+            and 0 <= atoms.min(initial=0) and atoms.max(initial=-1) < n):
+        return None
+    cell_of = np.full(n, -1, dtype=np.int32)
+    cell_of[atoms] = (np.arange(n, dtype=np.int32) if sizes.size == n
+                      else np.repeat(np.arange(sizes.size, dtype=np.int32), sizes))
+    return None if (cell_of < 0).any() else cell_of
 
 
 class Filtration:
@@ -114,11 +125,10 @@ class Filtration:
             atoms, sizes = _level_arrays(level)
             if n is None:
                 n = atoms.size
-            problem = _partition_problem(t, atoms, sizes, n)
-            if problem is not None:
-                raise DomainError(problem)
-            cell_of = np.empty(n, dtype=np.int32)
-            cell_of[atoms] = np.repeat(np.arange(sizes.size), sizes)
+            cell_of = _cell_map(atoms, sizes, n)
+            if cell_of is None:  # the bincount test names the fault
+                raise DomainError(_partition_problem(t, atoms, sizes, n)
+                                  or f"cell sizes at time {t} do not add up to its atoms")
             for a in (atoms, sizes, cell_of):
                 a.setflags(write=False)
             self._atoms.append(atoms)

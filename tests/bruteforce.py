@@ -8,7 +8,8 @@ sub-martingale and middle-rejection checks take every risk from the per-cell
 laws; `validate` is the set-based structural report and `document_to_text`
 the writer that renders every atom and cell through `dumps_17g`;
 `build_weakacc_continuous` lists the continuum counterexample's cells as
-int tuples.  The other checkers look up `choquet` and `dcai` on
+int tuples; `dcai_scalar` is the index search with the increments taken by
+`np.diff(prepend=0.0)`.  The other checkers look up `choquet` and `dcai` on
 `distrisk.consistency` at call time, so a test that replaces those names
 feeds the library checker and its oracle the same values.
 """
@@ -36,7 +37,14 @@ from distrisk.risk import (
     distribution_quantile_lower,
     distribution_quantile_upper,
 )
-from distrisk.space import RENORM_WINDOW, Filtration, RandomVariable, conditional_distribution
+from distrisk.space import (
+    RENORM_WINDOW,
+    Filtration,
+    RandomVariable,
+    conditional_distribution,
+    level_laws,
+)
+from distrisk.tolerance import BISECT_TOL, X_MAX, X_MIN
 from distrisk.treedoc import SCHEMA_VERSION, dumps_17g
 
 
@@ -108,6 +116,45 @@ def dcai(cell_laws, family, x_min=1e-9, x_max=1e6, tol=1e-9):
                 hi = mid
         out.append(lo)
     return out
+
+
+def _rho_at(support, F, family, x):
+    terms = np.diff(np.asarray(family(x)(F), dtype=float), prepend=0.0)
+    terms *= support
+    return -float(np.add.reduce(terms))
+
+
+def _cell_index(support, F, family):
+    if _rho_at(support, F, family, X_MIN) > 0.0:
+        return 0.0
+    lo, hi = X_MIN, 2.0 * X_MIN
+    while hi <= X_MAX:
+        if _rho_at(support, F, family, hi) > 0.0:
+            break
+        lo = hi
+        hi *= 2.0
+    else:
+        if _rho_at(support, F, family, X_MAX) <= 0.0:
+            return math.inf
+        hi = X_MAX
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _rho_at(support, F, family, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def dcai_scalar(space, filtration, X, t, family):
+    """The library's index search as it was with its increments taken by
+    np.diff(prepend=0.0), cell by cell on the same level_laws slices: the
+    oracle the library must match byte for byte."""
+    laws = level_laws(space, filtration, X, t)
+    return np.asarray([
+        _cell_index(laws.support[a:b], laws.F[a:b], family)
+        for a, b in zip(laws.start, laws.stop)
+    ])
 
 
 def conditional_expectation(space, filtration, X, t):

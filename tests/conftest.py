@@ -19,6 +19,7 @@ from distrisk import (
 )
 
 SEED = 20240817
+INTERIOR_SEED = 20261019  # the pool whose index searches end in the bisection
 
 # one verdict line per acceptance criterion, echoed after the test run
 ACCEPTANCE_LINES: list[str] = []
@@ -49,6 +50,30 @@ def random_tree(rng, max_atoms: int = 12, max_levels: int = 3):
         levels.append(tuple(cells))
     levels.append(tuple((i,) for i in range(n)))
     return space, Filtration(tuple(levels))
+
+
+def interior_tree(rng, depth: int = 3):
+    """Random tree with `depth` levels below the root, 2-3 children per cell
+    and 2-4 atoms in every leaf cell, the atoms numbered in a random order,
+    and a payoff whose cells mostly have a positive mean and a negative atom,
+    so that their acceptability index is interior (neither 0 nor inf)."""
+    branching, nodes = [], 1
+    for _ in range(depth):
+        branching.append(rng.integers(2, 4, size=nodes))
+        nodes = int(branching[-1].sum())
+    widths = [rng.integers(2, 5, size=nodes)]  # atoms per cell, from the leaves up
+    for b in reversed(branching):
+        widths.insert(0, np.add.reduceat(widths[0], np.cumsum(b) - b))
+    order = rng.permutation(int(widths[-1].sum())).tolist()
+    levels = []
+    for w in widths:
+        ends = np.cumsum(w).tolist()
+        levels.append([order[a:b] for a, b in zip([0] + ends[:-1], ends)])
+    n = len(order)
+    probs = rng.random(n) + 0.1
+    space = ScenarioSpace(probs / probs.sum())
+    X = RandomVariable(np.round(rng.normal(1.0, 2.0, size=n), 3))
+    return space, Filtration(levels), X
 
 
 def random_payoff(rng, n: int) -> RandomVariable:
@@ -96,3 +121,10 @@ def fixture_pool():
         space, filtration = random_tree(gen)
         pool.append((space, filtration, random_payoff(gen, space.n_atoms)))
     return pool
+
+
+@pytest.fixture(scope="session")
+def interior_pool():
+    """300 (space, filtration, payoff) triples from :func:`interior_tree`."""
+    gen = np.random.default_rng(INTERIOR_SEED)
+    return [interior_tree(gen) for _ in range(300)]

@@ -17,6 +17,9 @@ from distrisk import (
     choquet,
     dcai,
     dcai_axiom_check,
+    maxminvar_family,
+    maxvar_family,
+    minmaxvar_family,
     minvar_family,
 )
 from distrisk import acceptability
@@ -139,6 +142,30 @@ class TestDcai:
         a = dcai(space, filtration, RandomVariable(np.asarray([4.0, -1.0, 2.0, 0.5])), 0, family)
         b = dcai(space, filtration, RandomVariable(np.asarray([-1.0, 2.0, 0.5, 4.0])), 0, family)
         assert np.array_equal(a.cell_values, b.cell_values)
+
+
+FAMILIES = (minvar_family, maxvar_family, maxminvar_family, minmaxvar_family)
+
+
+def exit_kind(index: float) -> str:
+    return "floor" if index == 0.0 else "cap" if math.isinf(index) else "interior"
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_interior_pool_matches_scalar_search(interior_pool, family):
+    # every level of the first trees, where most indices end in the bisection
+    family = family()
+    kinds = []
+    for space, filtration, X in interior_pool[:12]:
+        for t in range(filtration.horizon + 1):
+            got = dcai(space, filtration, X, t, family, probe_family=False).cell_values
+            want = bruteforce.dcai_scalar(space, filtration, X, t, family)
+            assert got.tobytes() == want.tobytes()
+            kind = list(map(exit_kind, got))
+            cell_laws = bruteforce.laws(space, filtration, X, t)
+            assert kind == list(map(exit_kind, bruteforce.dcai(cell_laws, family)))
+            kinds += kind
+    assert kinds.count("interior") > len(kinds) / 2
 
 
 class TestAxiomCheck:

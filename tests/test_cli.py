@@ -426,6 +426,18 @@ class TestRepro:
         assert abs(entry["rho_0"]["values"][0] - 1.0 / 12.0) <= 1e-9
         assert entry["rho_0"]["source"] == "continuum_limit"
 
+    @pytest.mark.parametrize("s, n", [(0.013879787181355806, 10000), (0.034, 1000), (0.025, 1000)])
+    def test_continuous_steep_psi(self, capsys, tmp_path, s, n):
+        # a Dirac at small s: psi has slope 1/s at 0, and the tolerance
+        # 10 (d - a) / n, with d - a = 2, scales with it
+        out = tmp_path / "tree.json"
+        code, rep = run(capsys, "repro", "weakacc-continuous", "--mu", f"{s!r},1",
+                        "--n", str(n), "--out", str(out))
+        assert code == 0
+        assert rep["results"]["match"] is True
+        for entry in rep["results"]["expected"]:
+            assert entry["tolerance"] == pytest.approx(20.0 / (n * s))
+
 
 class TestTreeDocument:
     def test_parse_error_position(self):

@@ -17,6 +17,7 @@ from distrisk import (
     validate,
 )
 from distrisk.risk import distribution_quantile_lower
+from distrisk.space import Level
 
 from conftest import random_payoff, random_tree
 
@@ -59,6 +60,21 @@ class TestFiltration:
     def test_cell_of_atom(self):
         _, filtration = binomial_tree()
         assert list(filtration.cell_of_atom(1)) == [0, 0, 1, 1]
+
+    def test_level_sizes_must_add_up_to_its_atoms(self):
+        atoms = np.arange(3, dtype=np.int32)
+        with pytest.raises(DomainError, match="^cell sizes at time 0 do not add up to its atoms$"):
+            Filtration((Level(atoms, np.array([2, 1, 1], dtype=np.int32)),))
+
+    def test_cells_given_as_arrays(self):
+        # one atom per cell, and an array cell of two atoms, whose bool() raises
+        filtration = Filtration(([np.array([2, 0]), np.array([1])],
+                                 [np.array([i]) for i in (2, 0, 1)]))
+        assert filtration.cells(0) == ((2, 0), (1,))
+        assert filtration.cell_of_atom(0).tolist() == [0, 1, 0]
+        assert filtration.cell_of_atom(1).tolist() == [1, 2, 0]
+        with pytest.raises(DomainError, match="^empty cell at time 0$"):
+            Filtration(([np.array([0, 1]), np.array([], dtype=int)],))
 
 
 class TestConditionalDistribution:
