@@ -33,8 +33,7 @@ from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
 def _rho_at(support, F, family, x: float) -> float:
     """Risk of one cell's law (sorted support, cumulative weights F) under
     the family member x."""
-    # psi(F)'s increments from psi(0) = 0, bit for bit np.diff(prepend=0.0) without its
-    # per-call concatenate; summed by numpy, not a BLAS dot, whose cost varies with threads
+    # np.diff(prepend=0.0)'s increments, bit for bit; numpy sums them, not a thread-timed BLAS dot
     psi_F = np.asarray(family(x)(F), dtype=float)
     terms = np.empty_like(psi_F)
     terms[0] = psi_F[0]

@@ -350,7 +350,7 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     split at time 1 into the outer piece [a,b) with [c,d] and the middle
     piece [b,c).  In the continuum both time-1 risks are 0 while the time-0
     risk is z0 - m > 0; the midpoint discretization with n_atoms atoms
-    reproduces these within O(1/n_atoms).
+    reproduces these within 2 (d - a) psi'(0) / n_atoms, psi'(0) being psi's steepest slope.
     """
     if is_pprime(mu):
         raise DomainError("mu lies on the boundary family; no strict violation")
@@ -388,6 +388,5 @@ def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexam
     )
     rho1_middle = -b - (d - a) / 2.0 * m
     expected = {"rho_1": [rho1_outer, rho1_middle], "rho_0": [rho0]}
-    tol = 10.0 * (d - a) / n * max(1.0, psi.right_derivative(0.0))  # psi's steepest slope
-    return Counterexample(f"weakacc_continuous_n{n}", space, filtration,
-                          RandomVariable(values), psi, expected, tol)
+    return Counterexample(f"weakacc_continuous_n{n}", space, filtration, RandomVariable(values),
+                          psi, expected, 2.0 * (d - a) / n * psi.right_derivative(0.0))

@@ -58,6 +58,8 @@ class ScenarioSpace:
 def _partition_problem(t: int, atoms: np.ndarray, sizes: np.ndarray, n: int) -> str | None:
     """Why the level at time t, given as its atom indices flat in cell order
     and its cell sizes, is not a partition of the atoms 0..n-1; None if it is."""
+    if np.any(sizes < 0):
+        return f"negative cell size at time {t}"
     if np.any(sizes == 0):
         return f"empty cell at time {t}"
     uncovered = f"level {t} does not cover the same atom set"
@@ -80,21 +82,21 @@ def _level_arrays(level) -> Level:
     entries too large for an int32, and truncates a float); a Level as it is."""
     if isinstance(level, Level):
         return level
-    atoms = np.fromiter(itertools.chain.from_iterable(level), dtype=np.int32)
-    if atoms.size == len(level) and all(map(len, level)):  # by length: bool() of an array raises
-        return Level(atoms, np.ones(atoms.size, dtype=np.int32))
-    return Level(atoms, np.fromiter(map(len, level), dtype=np.int32))
+    sizes = np.fromiter(map(len, level), dtype=np.int32)
+    atoms = np.fromiter(
+        itertools.chain.from_iterable(level), dtype=np.int32, count=int(sizes.sum())
+    )
+    return Level(atoms, sizes)
 
 
 def _cell_map(atoms: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray | None:
     """A level's atom -> cell map, or None where it does not partition 0..n-1:
     n atoms in [0, n) scattered once cover every atom when no -1 is left."""
-    if not (atoms.size == n == sizes.sum() and sizes.all()
+    if not (atoms.size == n == sizes.sum() and sizes.min(initial=1) > 0
             and 0 <= atoms.min(initial=0) and atoms.max(initial=-1) < n):
         return None
     cell_of = np.full(n, -1, dtype=np.int32)
-    cell_of[atoms] = (np.arange(n, dtype=np.int32) if sizes.size == n
-                      else np.repeat(np.arange(sizes.size, dtype=np.int32), sizes))
+    cell_of[atoms] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
     return None if (cell_of < 0).any() else cell_of
 
 

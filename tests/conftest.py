@@ -125,6 +125,6 @@ def fixture_pool():
 
 @pytest.fixture(scope="session")
 def interior_pool():
-    """300 (space, filtration, payoff) triples from :func:`interior_tree`."""
+    """12 (space, filtration, payoff) triples from :func:`interior_tree`."""
     gen = np.random.default_rng(INTERIOR_SEED)
-    return [interior_tree(gen) for _ in range(300)]
+    return [interior_tree(gen) for _ in range(12)]

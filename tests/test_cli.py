@@ -429,14 +429,25 @@ class TestRepro:
     @pytest.mark.parametrize("s, n", [(0.013879787181355806, 10000), (0.034, 1000), (0.025, 1000)])
     def test_continuous_steep_psi(self, capsys, tmp_path, s, n):
         # a Dirac at small s: psi has slope 1/s at 0, and the tolerance
-        # 10 (d - a) / n, with d - a = 2, scales with it
+        # 2 (d - a) / n * psi'(0), with d - a = 2, scales with it
         out = tmp_path / "tree.json"
         code, rep = run(capsys, "repro", "weakacc-continuous", "--mu", f"{s!r},1",
                         "--n", str(n), "--out", str(out))
         assert code == 0
         assert rep["results"]["match"] is True
         for entry in rep["results"]["expected"]:
-            assert entry["tolerance"] == pytest.approx(20.0 / (n * s))
+            assert entry["tolerance"] == pytest.approx(4.0 / (n * s))
+
+    def test_continuous_tolerance_below_the_violation(self):
+        # a tolerance above rho_0 = z0 - m > 0 would pass a tree that shows no violation
+        golden = json.loads((Path(__file__).with_name("golden") / "cli.json").read_text())
+        reports = [json.loads(c["stdout"])["results"] for c in golden["cases"]
+                   if c["argv"][:2] == ["repro", "weakacc-continuous"] and c["code"] == 0]
+        assert len(reports) == 3
+        for res in reports:
+            entry = {e["label"]: e for e in res["expected"]}["rho_0"]
+            assert entry["values"][0] - entry["tolerance"] > 0
+            assert res["computed"]["rho_0"][0] - entry["tolerance"] > 0
 
 
 class TestTreeDocument:

@@ -65,6 +65,9 @@ class TestFiltration:
         atoms = np.arange(3, dtype=np.int32)
         with pytest.raises(DomainError, match="^cell sizes at time 0 do not add up to its atoms$"):
             Filtration((Level(atoms, np.array([2, 1, 1], dtype=np.int32)),))
+        # the sizes add up to the atoms, but a negative one overlaps the cells
+        with pytest.raises(DomainError, match="^negative cell size at time 0$"):
+            Filtration((Level(atoms, np.array([2, -1, 2], dtype=np.int32)),))
 
     def test_cells_given_as_arrays(self):
         # one atom per cell, and an array cell of two atoms, whose bool() raises
