@@ -76,7 +76,6 @@ def dcai(
     X: RandomVariable,
     t: int,
     family: DistortionFamily,
-    probe_family: bool = True,
 ) -> AdaptedValue:
     """Largest family parameter with non-positive risk, per cell, as an
     adapted value.
@@ -86,11 +85,11 @@ def dcai(
     cap ``X_MAX``, and otherwise the bisected boundary of the acceptance
     interval to width ``BISECT_TOL``.
 
-    With ``probe_family`` the family is first probed with
-    :func:`check_family_monotone`, and only its monotonicity failure rejects
-    it (DomainError): a right-continuity failure alone does not.
+    The family is first probed with :func:`check_family_monotone`, and only
+    its monotonicity failure rejects it (DomainError): a right-continuity
+    failure alone does not.
     """
-    if probe_family and FAMILY_NOT_INCREASING in check_family_monotone(family).failures:
+    if FAMILY_NOT_INCREASING in check_family_monotone(family).failures:
         raise DomainError("family is not increasing on the probe grid")
     laws = level_laws(space, filtration, X, t)
     return AdaptedValue(t, [
@@ -118,7 +117,7 @@ def dcai_axiom_check(
     INDEX_TOL of each other or both inf.
     """
     def index(Z: RandomVariable) -> np.ndarray:
-        return dcai(space, filtration, Z, t, family, probe_family=False).cell_values
+        return dcai(space, filtration, Z, t, family).cell_values
 
     def at_most(a, b) -> bool:
         return bool(np.all(a <= b + INDEX_TOL))

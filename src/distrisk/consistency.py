@@ -194,7 +194,7 @@ def check_weak_rejection_dcai(
     if t >= s:
         raise DomainError("need t < s")
     a_t = dcai(space, filtration, X, t, family).cell_values
-    a_s = dcai(space, filtration, X, s, family, probe_family=False).cell_values  # probed above
+    a_s = dcai(space, filtration, X, s, family).cell_values
     parent = filtration.parent(t, s)
     # child j's index m = a_s[j] is a violating level of its parent k when
     # every child of k is at or below m and k itself is above it
@@ -231,7 +231,7 @@ def middle_rejection_probe(
         raise DomainError("need t < s")
     rho_s = choquet(space, filtration, X, s, psi)
     rho_t_x = choquet(space, filtration, X, t, psi).cell_values
-    paid_out = LevelLaws.grouped(  # Y's laws at t, one item per s-cell
+    paid_out = LevelLaws(  # Y's laws at t, one item per s-cell
         filtration.parent(t, s), rho_t_x.size, RandomVariable(-rho_s.cell_values),
         level_laws(space, filtration, X, s).mass,  # kept by choquet above
     )

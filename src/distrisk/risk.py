@@ -189,8 +189,9 @@ def dwvar(space, filtration, X, t, mu: DistortionMeasure) -> AdaptedValue:
     """Weighted value at risk given the information at time t, per cell.
 
     Evaluated as the mixture of tail means; an independent quantile-integral
-    form is computed alongside and a relative disagreement beyond
-    ``CROSS_CHECK_TOL`` is raised as an internal inconsistency.
+    form is computed alongside and a disagreement beyond ``CROSS_CHECK_TOL``
+    times the cell's largest payoff magnitude is raised as an internal
+    inconsistency.
     """
     if not isinstance(mu, DistortionMeasure):
         raise DomainError("dwvar needs a finitely supported level measure")
@@ -198,7 +199,9 @@ def dwvar(space, filtration, X, t, mu: DistortionMeasure) -> AdaptedValue:
     laws = level_laws(space, filtration, X, t)
     v = sum(w * _tail_mean(laws, s) for s, w in zip(mu.support, mu.weights))
     v_alt = _distorted(laws, psi)
-    bad = np.abs(v - v_alt) > CROSS_CHECK_TOL * np.maximum(1.0, np.abs(v))
+    # slack relative to each cell's payoff magnitude, which also bounds |v|
+    scale = np.maximum(np.abs(laws.support[laws.start]), np.abs(laws.support[laws.stop - 1]))
+    bad = np.abs(v - v_alt) > CROSS_CHECK_TOL * scale
     if np.any(bad):
         k = int(np.argmax(bad))
         raise AssertionError(
@@ -214,7 +217,6 @@ def min_iid_rho(space, filtration, X, t, k: int) -> AdaptedValue:
     copies do, so its survival function is the k-th power of the original,
     and its law is the original distorted by MinVar(k - 1).
     """
-    k = int(k)
-    if k < 1:
+    if not (1 <= k < np.inf and k % 1 == 0):  # nan and inf fail the bounds
         raise DomainError("copy count must be a positive integer")
-    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), MinVar(k - 1)))
+    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), MinVar(int(k) - 1)))

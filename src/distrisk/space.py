@@ -369,33 +369,17 @@ class LevelLaws:
     rows of one matrix, a reshaped view of ``weights`` where those cells sit
     side by side (a one-cell level, say), else the rows of an index matrix.
 
-    Each construction builds the laws afresh; evaluators get them through
-    :func:`level_laws`, which keeps them on the payoff.  :meth:`grouped`
-    builds the same laws from values given per item of any grouping, such
-    as a later risk given per s-cell and grouped by the t-cell holding each
-    s-cell, at a cost that scales with the items, not the atoms.
+    The laws are those of the values of ``X``, one per item of probability
+    ``mass``, on the ``n_groups`` cells of the items with each ``group`` id:
+    the atoms grouped by cell on a tree level (:func:`level_laws` builds
+    those and keeps them on the payoff), or any other items, such as a later
+    risk given per s-cell and grouped by the t-cell holding each s-cell, at
+    a cost that scales with the items.  Each construction builds afresh.
     """
 
     def __init__(
-        self, space: ScenarioSpace, filtration: Filtration, X: RandomVariable, t: int
+        self, group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.ndarray
     ) -> None:
-        _check_sizes(space, filtration, X)
-        self._build(filtration.cell_of_atom(t), filtration.n_cells(t), X,
-                    space.probabilities)
-
-    @classmethod
-    def grouped(
-        cls, group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.ndarray
-    ) -> LevelLaws:
-        """The laws of the values of ``X``, one per item with probability
-        ``mass``, on each of ``n_groups`` cells made of the items with that
-        ``group`` id: the laws of a payoff constant on the items, such as the
-        s-cells of a later level, on the level they refine."""
-        laws = cls.__new__(cls)
-        laws._build(group, n_groups, X, mass)
-        return laws
-
-    def _build(self, group, n_groups, X, mass) -> None:
         self.cell, self.support, point_mass = _merge_ties(group, n_groups, X, mass)
         self.mass = np.bincount(group, weights=mass, minlength=n_groups)
         self.weights = point_mass / self.mass[self.cell]
@@ -447,19 +431,18 @@ def level_laws(
     an id cannot be reused).  A call with another space or filtration, even
     an equal one, drops the kept laws and starts anew, so a payoff keeps at
     most one tree's levels: per level, 36 bytes per merged point and 24 per
-    cell.  The arguments are checked before the lookup exactly as a build
-    checks them, so a bad call raises the same error however warm the payoff
-    is.
+    cell.  The arguments are checked before the lookup, so a bad call raises
+    the same error however warm the payoff is.
     """
     _check_sizes(space, filtration, X)
-    filtration.cell_of_atom(t)  # a bad t fails here as it fails a build
+    cell_of = filtration.cell_of_atom(t)  # a bad t fails here
     t = operator.index(t)
     kept = X._kept_laws
     if kept[0] is not space or kept[1] is not filtration:
         kept[:] = space, filtration, {}
     laws = kept[2].get(t)
     if laws is None:
-        laws = kept[2][t] = LevelLaws(space, filtration, X, t)
+        laws = kept[2][t] = LevelLaws(cell_of, filtration.n_cells(t), X, space.probabilities)
     return laws
 
 

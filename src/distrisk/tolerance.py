@@ -17,7 +17,7 @@ X_MIN = 1e-9  # smallest family parameter the index tries; a payoff rejected the
 X_MAX = 1e6  # bracket cap of the index; a payoff accepted there has index inf
 BISECT_TOL = 1e-9  # absolute width at which the index bisection stops
 
-CROSS_CHECK_TOL = 1e-9  # relative gap allowed between dwvar's two forms (tail means, distortion)
+CROSS_CHECK_TOL = 1e-9  # gap between dwvar's two forms, relative to the cell's largest |payoff|
 ANALYTIC_TOL = 1e-12  # a counterexample reproduces its closed-form risks within this
 PPRIME_TOL = 1e-12  # a measure this close to ((a-1)/a, 1/a) at (1/(a+1), 1) is a pprime
 ROOT_BRACKET_SLACK = 1e-15  # psi(1/2) + 1/2 - 1 may be this far below 0 and bracket its root

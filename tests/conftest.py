@@ -8,6 +8,7 @@ import pytest
 from distrisk import (
     DistortionMeasure,
     Filtration,
+    LevelLaws,
     MaxMinVar,
     MaxVar,
     MinMaxVar,
@@ -74,6 +75,12 @@ def interior_tree(rng, depth: int = 3):
     space = ScenarioSpace(probs / probs.sum())
     X = RandomVariable(np.round(rng.normal(1.0, 2.0, size=n), 3))
     return space, Filtration(levels), X
+
+
+def fresh_laws(space, filtration, X, t) -> LevelLaws:
+    """The laws `level_laws` gives for a tree level, built afresh on every
+    call: nothing is read from or kept on the payoff."""
+    return LevelLaws(filtration.cell_of_atom(t), filtration.n_cells(t), X, space.probabilities)
 
 
 def random_payoff(rng, n: int) -> RandomVariable:

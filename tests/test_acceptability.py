@@ -14,6 +14,7 @@ from distrisk import (
     RandomVariable,
     ScenarioSpace,
     check_family_monotone,
+    check_weak_rejection_dcai,
     choquet,
     dcai,
     dcai_axiom_check,
@@ -105,7 +106,7 @@ class TestDcai:
         for _ in range(30):
             space, filtration = random_tree(gen)
             X = random_payoff(gen, space.n_atoms)
-            out = dcai(space, filtration, X, 0, family, probe_family=False)
+            out = dcai(space, filtration, X, 0, family)
             x_star = out.cell_values[0]
             if x_star == 0.0 or math.isinf(x_star):
                 continue
@@ -126,9 +127,7 @@ class TestDcai:
         crossing = None
         for c in c_grid:
             shifted = RandomVariable(X.values - c)
-            idx = dcai(
-                space, filtration, shifted, 0, family, probe_family=False
-            ).cell_values[0]
+            idx = dcai(space, filtration, shifted, 0, family).cell_values[0]
             if idx <= x:
                 crossing = c
                 break
@@ -145,6 +144,7 @@ class TestDcai:
 
 
 FAMILIES = (minvar_family, maxvar_family, maxminvar_family, minmaxvar_family)
+INTERIOR_CHECK_TREES = 5  # trees of the interior pool the weak-rejection and axiom checks run on
 
 
 def exit_kind(index: float) -> str:
@@ -158,7 +158,7 @@ def test_interior_pool_matches_scalar_search(interior_pool, family):
     kinds = []
     for space, filtration, X in interior_pool:
         for t in range(filtration.horizon + 1):
-            got = dcai(space, filtration, X, t, family, probe_family=False).cell_values
+            got = dcai(space, filtration, X, t, family).cell_values
             want = bruteforce.dcai_scalar(space, filtration, X, t, family)
             assert got.tobytes() == want.tobytes()
             kind = list(map(exit_kind, got))
@@ -166,6 +166,31 @@ def test_interior_pool_matches_scalar_search(interior_pool, family):
             assert kind == list(map(exit_kind, bruteforce.dcai(cell_laws, family)))
             kinds += kind
     assert kinds.count("interior") > len(kinds) / 2
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_interior_pool_weak_rejection_matches_bruteforce(interior_pool, family):
+    # every (t, s) pair, where the indices at t and at s are mostly interior
+    family = family()
+    for space, filtration, X in interior_pool[:INTERIOR_CHECK_TREES]:
+        H = filtration.horizon
+        for t, s in ((t, s) for t in range(H) for s in range(t + 1, H + 1)):
+            got = check_weak_rejection_dcai(space, filtration, X, family, t, s)
+            want = bruteforce.check_weak_rejection_dcai(space, filtration, X, family, t, s)
+            assert np.array(got.margins).tobytes() == np.array(want.margins).tobytes()
+            assert got.witness == want.witness
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_interior_pool_axioms_hold(interior_pool, family):
+    # Y lies above X by rounded normal noise, so monotonicity is checked too
+    family = family()
+    gen = np.random.default_rng(59)
+    for space, filtration, X in interior_pool[:INTERIOR_CHECK_TREES]:
+        Y = RandomVariable(X.values + np.abs(np.round(gen.normal(0.0, 1.0, X.values.size), 3)))
+        for t in range(filtration.horizon + 1):
+            report = dcai_axiom_check(space, filtration, X, Y, t, family)
+            assert report.passed, (t, report.failures)
 
 
 class TestAxiomCheck:
@@ -216,7 +241,7 @@ def axiom_failures(monkeypatch, a_x, a_y, scaled=None, masked=None, mix=None, or
         [a_x, a_y, scaled or a_x, masked or a_x] + [mix or tuple(map(max, a_x, a_y))] * 3
     )
 
-    def fake_dcai(space, filtration, X, t, family, probe_family=True):
+    def fake_dcai(space, filtration, X, t, family):
         return AdaptedValue(t, next(results))
 
     monkeypatch.setattr(acceptability, "dcai", fake_dcai)

@@ -291,11 +291,10 @@ def test_criterion_10_acceptability_index(fixture_pool):
     suite_ok = True
     for space_i, filtration_i, X in fixture_pool[:200]:
         t = min(1, filtration_i.horizon)
-        a = dcai(space_i, filtration_i, X, t, family, probe_family=False).cell_values
+        a = dcai(space_i, filtration_i, X, t, family).cell_values
         scale = float(gen.uniform(0.5, 5.0))
         a_s = dcai(
-            space_i, filtration_i, RandomVariable(scale * X.values), t, family,
-            probe_family=False,
+            space_i, filtration_i, RandomVariable(scale * X.values), t, family
         ).cell_values
         for u, v in zip(a, a_s):
             if math.isinf(u) != math.isinf(v):
@@ -303,7 +302,7 @@ def test_criterion_10_acceptability_index(fixture_pool):
             elif not math.isinf(u) and abs(u - v) > 1e-6:
                 suite_ok = False
         up = RandomVariable(X.values + np.abs(np.round(gen.normal(0, 1, X.values.size), 3)))
-        a_up = dcai(space_i, filtration_i, up, t, family, probe_family=False).cell_values
+        a_up = dcai(space_i, filtration_i, up, t, family).cell_values
         for u, v in zip(a, a_up):
             if math.isinf(u) and not math.isinf(v):
                 suite_ok = False

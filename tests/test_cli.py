@@ -252,6 +252,20 @@ class TestOtherCommands:
                         "submartingale", "--distortion", "minvar:1", "--t", "0", "--s", "1")
         assert (code, rep["results"]["verdict"]) == (0, "holds")
 
+    def test_dwvar_large_payoffs_near_zero_risk(self, capsys, tmp_path):
+        """Payoffs near 1e9 whose weighted VaR is 0: round-off of the
+        payoffs' size is within the cross-check's slack."""
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps({
+            "schema_version": 1,
+            "atoms": [{"probability": 0.3333333333333333, "payoffs": {"X": x}}
+                      for x in (1226114709.9920166, 734933642.6742454, -898660665.1135026)],
+            "filtration": [[[0, 1, 2]], [[0], [1], [2]]],
+        }))
+        code, rep = run(capsys, "dwvar", str(path), "--payoff", "X", "--t", "0",
+                        "--measure", "0.5,0.5;1,0.5")
+        assert (code, rep["results"]["dwvar"]) == (0, [0.0])
+
 
 class TestCheck:
     def test_capped_index_is_strict_json(self, capsys, tmp_path):

@@ -131,6 +131,7 @@ class TestDcaiWeakRejection:
             assert rep.holds, rep
 
     def test_family_probed_once(self, monkeypatch):
+        # once per dcai call: the index at t, then the index at s
         probe = acceptability.check_family_monotone
         probed = []
 
@@ -142,7 +143,7 @@ class TestDcaiWeakRejection:
         ce = build_weakacc_pprime(2.0)
         family = minvar_family()
         assert check_weak_rejection_dcai(ce.space, ce.filtration, ce.X, family, 0, 1).holds
-        assert probed == [family]
+        assert probed == [family, family]
 
 
 class TestMiddleRejection:

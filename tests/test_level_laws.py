@@ -55,7 +55,7 @@ from distrisk import space as space_module
 from distrisk.space import conditional_distribution, level_laws
 from distrisk.tolerance import ANALYTIC_TOL
 
-from conftest import random_measure, random_regular_distortion, random_tree
+from conftest import fresh_laws, random_measure, random_regular_distortion, random_tree
 
 REL_TOL = 1e-13
 
@@ -153,7 +153,7 @@ class TestEvaluatorsMatchPerCellPath:
         trees = list(fixture_pool[:40]) + [tie_heavy_tree()]
         for space, filtration, X in trees:
             for t in range(filtration.horizon + 1):
-                got = dcai(space, filtration, X, t, family, probe_family=False).cell_values
+                got = dcai(space, filtration, X, t, family).cell_values
                 want = bruteforce.dcai(bruteforce.laws(space, filtration, X, t), family)
                 assert np.all(got >= 0.0)
                 assert [math.isinf(v) for v in got] == [math.isinf(v) for v in want]
@@ -165,7 +165,7 @@ class TestLevelLaws:
     def test_merged_laws_match_conditional_distribution(self):
         space, filtration, X = tie_heavy_tree()
         for t in range(filtration.horizon + 1):
-            laws = LevelLaws(space, filtration, X, t)
+            laws = fresh_laws(space, filtration, X, t)
             for k, (a, b) in enumerate(zip(laws.start, laws.stop)):
                 d = conditional_distribution(space, filtration, X, t, k)
                 assert np.array_equal(laws.support[a:b], d.support)
@@ -181,7 +181,7 @@ class TestLevelLaws:
     def test_length_mismatch_rejected(self):
         space, filtration, _ = tie_heavy_tree()
         with pytest.raises(DomainError, match="payoff length"):
-            LevelLaws(space, filtration, RandomVariable(np.zeros(3)), 1)
+            level_laws(space, filtration, RandomVariable(np.zeros(3)), 1)
 
     def test_filtration_size_mismatch_rejected(self):
         space = ScenarioSpace([0.25, 0.25, 0.5])
@@ -189,7 +189,7 @@ class TestLevelLaws:
         X = RandomVariable([1.0, 2.0, 3.0])
         for t in (0, 1):
             with pytest.raises(DomainError, match="payoff length"):
-                LevelLaws(space, filtration, X, t)
+                level_laws(space, filtration, X, t)
             with pytest.raises(DomainError, match="payoff length"):
                 conditional_expectation(space, filtration, X, t)
 
@@ -211,7 +211,7 @@ class TestLevelLaws:
         for space, filtration, X in (one_cell, mixed, tie_heavy_tree(),
                                      paired_tree(300, gen)):
             for t in range(filtration.horizon + 1):
-                laws = LevelLaws(space, filtration, X, t)
+                laws = fresh_laws(space, filtration, X, t)
                 for a, b in zip(laws.start, laws.stop):
                     assert np.array_equal(laws.F[a:b - 1], np.cumsum(laws.weights[a:b])[:-1])
                     assert laws.F[b - 1] == 1.0
@@ -232,7 +232,7 @@ class TestLevelLaws:
         space = ScenarioSpace(probs)
         filtration = Filtration(((tuple(range(n)),), tuple(cells), tuple((i,) for i in range(n))))
         X = RandomVariable(np.concatenate([np.arange(len(c), dtype=float) for c in cells]))
-        laws = LevelLaws(space, filtration, X, 1)
+        laws = fresh_laws(space, filtration, X, 1)
         past_one = [np.cumsum(laws.weights[a:b])[:-1].max() > 1.0
                     for a, b in zip(laws.start, laws.stop)]
         assert sum(past_one) > 0
@@ -249,7 +249,7 @@ class TestLevelLaws:
         space = ScenarioSpace([0.342, 0.558, 0.1, 5e-17])
         filtration = Filtration((((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
         X = RandomVariable([0.0, 1.0, 2.0, 3.0])
-        assert LevelLaws(space, filtration, X, 0).F.tolist() == [0.342, 0.9000000000000001, 1.0, 1.0]
+        assert fresh_laws(space, filtration, X, 0).F.tolist() == [0.342, 0.9000000000000001, 1.0, 1.0]
         d = conditional_distribution(space, filtration, X, 0, 0)
         assert choquet(space, filtration, X, 0, psi).cell_values[0] == risk.distribution_choquet(d, psi)
         assert dcai(space, filtration, X, 0, family).cell_values.tolist() == [math.inf]
@@ -263,13 +263,13 @@ def oracle_laws(monkeypatch, space, filtration, X, t):
     with monkeypatch.context() as m:
         m.setattr(space_module, "_merge_ties",
                   lambda cell_of, n_cells, X, p: bruteforce.merge_ties(cell_of, X.values, p))
-        return LevelLaws(space, filtration, X, t)
+        return fresh_laws(space, filtration, X, t)
 
 
 def assert_same_laws(monkeypatch, space, filtration, X):
     """Every level's laws equal the oracle's bit for bit, signed zeros included."""
     for t in range(filtration.horizon + 1):
-        got = LevelLaws(space, filtration, X, t)
+        got = fresh_laws(space, filtration, X, t)
         want = oracle_laws(monkeypatch, space, filtration, X, t)
         for name in LAW_FIELDS:
             a, b = getattr(got, name), getattr(want, name)
@@ -311,11 +311,11 @@ class TestExactOrder:
         X = RandomVariable(values)
         assert_same_laws(monkeypatch, space, filtration, X)
         # the merged zero of each cell keeps the sign of its lowest atom
-        laws = LevelLaws(space, filtration, X, 1)
+        laws = fresh_laws(space, filtration, X, 1)
         zeros = laws.support == 0.0
         assert list(laws.cell[zeros]) == [0, 1]
         assert list(np.signbit(laws.support[zeros])) == [False, True]
-        assert not np.signbit(LevelLaws(space, filtration, X, 0).support[0])
+        assert not np.signbit(fresh_laws(space, filtration, X, 0).support[0])
 
     @pytest.mark.parametrize("n_cells", [1 << 16, (1 << 16) + 1])
     def test_many_cells(self, n_cells, monkeypatch):
@@ -474,8 +474,8 @@ def assert_cold_warm_fresh_agree(monkeypatch, space, filtration, X, psi, mu, wit
         call(warm)
         assert canonical(call(warm)) == cold
         with monkeypatch.context() as m:
-            m.setattr(risk, "level_laws", LevelLaws)
-            m.setattr(acceptability, "level_laws", LevelLaws)
+            m.setattr(risk, "level_laws", fresh_laws)
+            m.setattr(acceptability, "level_laws", fresh_laws)
             assert canonical(call(RandomVariable(X.values))) == cold
 
 
@@ -503,7 +503,7 @@ class TestKeptLaws:
         for t in range(filtration.horizon + 1):
             got = level_laws(space, filtration, X, t)
             assert level_laws(space, filtration, X, t) is got
-            want = LevelLaws(space, filtration, X, t)
+            want = fresh_laws(space, filtration, X, t)
             assert want is not got
             for name in LAW_FIELDS:
                 assert getattr(got, name).dtype == getattr(want, name).dtype
@@ -543,9 +543,10 @@ class TestKeptLaws:
         built = []
         init = LevelLaws.__init__
 
-        def counting(self, space, filtration, X, t):
-            built.append(t)
-            init(self, space, filtration, X, t)
+        def counting(self, group, n_groups, X, mass):
+            if mass is space.probabilities:  # a tree level, not the paid-out risk
+                built.append(next(t for t in range(5) if filtration.cell_of_atom(t) is group))
+            init(self, group, n_groups, X, mass)
 
         monkeypatch.setattr(LevelLaws, "__init__", counting)
         for _ in range(2):
@@ -565,7 +566,7 @@ class TestKeptLaws:
             assert got[0] is not at0 and got[1] is not at1
             for t, laws in enumerate(got):
                 assert level_laws(s, f, X, t) is laws
-                want = LevelLaws(s, f, X, t)
+                want = fresh_laws(s, f, X, t)
                 for name in LAW_FIELDS:
                     assert getattr(laws, name).tobytes() == getattr(want, name).tobytes()
 
@@ -577,7 +578,7 @@ class TestKeptLaws:
         for s, f in ((same_space, filtration), (space, same_filtration)):
             got = level_laws(s, f, X, 1)
             assert got is not laws
-            assert got.weights.tobytes() == LevelLaws(s, f, X, 1).weights.tobytes()
+            assert got.weights.tobytes() == fresh_laws(s, f, X, 1).weights.tobytes()
         # other probabilities on the same atoms: other laws, the right ones
         other = ScenarioSpace(space.probabilities[::-1])
         psi = MinVar(2.0)
@@ -642,7 +643,7 @@ class TestKeptLaws:
                 assert canonical(call(warm)) == cold
                 with monkeypatch.context() as m:
                     for module in (risk, acceptability, consistency):
-                        m.setattr(module, "level_laws", LevelLaws)
+                        m.setattr(module, "level_laws", fresh_laws)
                     assert canonical(call(RandomVariable(X.values))) == cold
 
     @pytest.mark.parametrize("t", [1.0, 0.5, -1, 3])
@@ -656,7 +657,7 @@ class TestKeptLaws:
             return type(info.value), str(info.value)
 
         cold = failure(lambda: choquet(space, filtration, X, t, psi))
-        assert failure(lambda: LevelLaws(space, filtration, X, t)) == cold
+        assert failure(lambda: fresh_laws(space, filtration, X, t)) == cold
         for u in (0, 1):
             choquet(space, filtration, X, u, psi)
         assert failure(lambda: choquet(space, filtration, X, t, psi)) == cold
@@ -854,7 +855,7 @@ class TestCheckersMatchBruteForce:
         def fake_choquet(space, filtration, X, t, psi):
             return AdaptedValue(t, values[t])
 
-        def fake_dcai(space, filtration, X, t, family, probe_family=True):
+        def fake_dcai(space, filtration, X, t, family):
             return AdaptedValue(t, values[t])
 
         monkeypatch.setattr(consistency, "choquet", fake_choquet)
@@ -966,9 +967,9 @@ class TestLaterCellCheckers:
             assert rho_s[2] == rho_s[5] == 0.0  # (2, 9) and (5,)
             assert np.signbit(rho_s[2]) and not np.signbit(rho_s[5])
             paid_out = RandomVariable(-rho_s)
-            got = LevelLaws.grouped(filtration.parent(1, 2), 3, paid_out,
-                                    level_laws(space, filtration, X, 2).mass)
-            lifted = LevelLaws(space, filtration, lift(filtration, AdaptedValue(2, -rho_s)), 1)
+            got = LevelLaws(filtration.parent(1, 2), 3, paid_out,
+                            level_laws(space, filtration, X, 2).mass)
+            lifted = fresh_laws(space, filtration, lift(filtration, AdaptedValue(2, -rho_s)), 1)
             # cell (9, 2, 5, 0, 7): four s-cells, two points, 0 and 1.25
             assert list(got.support[got.start[0]:got.stop[0]]) == [0.0, 1.25]
             assert list(got.stop - got.start) == [2, 2, 1]
@@ -1070,7 +1071,7 @@ class TestCellMass:
         trees = list(fixture_pool[::5]) + [tie_heavy_tree(), later_cells_tree()]
         for space, filtration, X in trees:
             for t in range(filtration.horizon + 1):
-                laws = LevelLaws(space, filtration, X, t)
+                laws = fresh_laws(space, filtration, X, t)
                 want = np.bincount(filtration.cell_of_atom(t), weights=space.probabilities,
                                    minlength=filtration.n_cells(t))
                 assert laws.mass.dtype == want.dtype
@@ -1078,6 +1079,6 @@ class TestCellMass:
 
     def test_mass_is_read_only(self):
         space, filtration, X = later_cells_tree()
-        for laws in (LevelLaws(space, filtration, X, 2), level_laws(space, filtration, X, 2)):
+        for laws in (fresh_laws(space, filtration, X, 2), level_laws(space, filtration, X, 2)):
             with pytest.raises(ValueError):
                 laws.mass[0] = 0.0

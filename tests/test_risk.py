@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from distrisk import (
+    DistortionMeasure,
     DomainError,
     Filtration,
     Identity,
@@ -303,6 +304,31 @@ class TestDwvar:
         else:
             assert dwvar(space, filtration, X, 0, dirac(0.5)).cell_values[0] == 1.0
 
+    def test_large_payoffs_near_zero_risk(self):
+        """Payoffs near 1e9 whose weighted VaR is near 0: the two forms differ
+        by round-off of the payoffs' size, which the slack scales with.
+        Scaling by a power of two commutes with rounding, so each scaled
+        payoff gives the scaled values exactly, and never raises."""
+        space = ScenarioSpace(np.full(3, 0.3333333333333333))
+        filtration = Filtration((((0, 1, 2),), ((0,), (1,), (2,))))
+        X = np.asarray([1226114709.9920166, 734933642.6742454, -898660665.1135026])
+        mu = DistortionMeasure(np.asarray([0.5, 1.0]), np.asarray([0.5, 0.5]))
+        gen = np.random.default_rng(61)
+        cases = [(space, filtration, X)]
+        for _ in range(30):
+            # random trees, payoffs up to 1e11 shifted by cash to a root risk of 0
+            sp, f = random_tree(gen)
+            Z = gen.normal(0.0, 1.0, sp.n_atoms) * 10.0 ** gen.uniform(0.0, 11.0)
+            rho = choquet(sp, f, RandomVariable(Z), 0, psi_from_measure(mu)).cell_values[0]
+            cases.append((sp, f, Z + rho))
+        for sp, f, Z in cases:
+            for t in range(f.horizon + 1):
+                base = dwvar(sp, f, RandomVariable(Z), t, mu).cell_values
+                for k in (-40, -7, 13, 40):
+                    got = dwvar(sp, f, RandomVariable(2.0**k * Z), t, mu).cell_values
+                    assert got.tobytes() == (2.0**k * base).tobytes()
+        assert dwvar(space, filtration, RandomVariable(X), 0, mu).cell_values.tolist() == [0.0]
+
 
 class TestMinIid:
     def test_single_copy_is_negated_mean(self):
@@ -325,6 +351,18 @@ class TestMinIid:
                 a = min_iid_rho(space, filtration, X, 1, k).cell_values
                 b = choquet(space, filtration, X, 1, MinVar(k - 1)).cell_values
                 assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_integral_float_copy_count(self):
+        space, filtration, X = three_point()
+        want = min_iid_rho(space, filtration, X, 0, 3).cell_values.tobytes()
+        for k in (3.0, np.float64(3.0), np.int64(3)):
+            assert min_iid_rho(space, filtration, X, 0, k).cell_values.tobytes() == want
+
+    @pytest.mark.parametrize("k", [2.99, 0.5, 1.5, math.nan, math.inf, -math.inf])
+    def test_non_integral_copy_count_rejected(self, k):
+        space, filtration, X = three_point()
+        with pytest.raises(DomainError, match="^copy count must be a positive integer$"):
+            min_iid_rho(space, filtration, X, 0, k)
 
     def test_no_copies_rejected(self):
         space, filtration, X = three_point()
