@@ -25,10 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .space import DomainError
+from .space import DiscreteDistribution, DomainError
 from .tolerance import (
     CONTINUITY_GRID_RATIO,
-    PROB_SUM_TOL,
     PROBE_OFFSET,
     REGULARITY_GRID_STEP,
     RIGHT_CONTINUITY_TOL,
@@ -252,33 +251,13 @@ class PiecewiseLinear(Distortion):
 
 
 @dataclass(frozen=True)
-class DistortionMeasure:
+class DistortionMeasure(DiscreteDistribution):
     """Finitely supported probability measure on (0, 1]."""
 
-    support: np.ndarray
-    weights: np.ndarray
-
     def __post_init__(self) -> None:
-        s = np.asarray(self.support, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if s.shape != w.shape or s.ndim != 1 or s.size == 0:
-            raise DomainError("support and weights must be matching non-empty vectors")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(w))):
-            raise DomainError("support and weights must be finite")
-        if np.any(s <= 0.0) or np.any(s > 1.0):
+        super().__post_init__()
+        if self.support[0] <= 0.0 or self.support[-1] > 1.0:  # the support increases
             raise DomainError("support must lie in (0, 1]")
-        if np.any(np.diff(s) <= 0):
-            raise DomainError("support must be strictly increasing")
-        if np.any(w <= 0):
-            raise DomainError("weights must be strictly positive")
-        if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
-            raise DomainError("weights must sum to 1")
-        s = s.copy()
-        w = w.copy()
-        s.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "support", s)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Per-cell risk evaluators on a finite filtered space.
+"""Conditional risk evaluators on a finite filtered space.
 
 Everything here is exact on finite supports: the distorted-expectation
 evaluator is a sorted cumulative sum, quantiles scan CDF breakpoints, and the
@@ -11,9 +11,7 @@ evaluated on, for the space and filtration of its last evaluation
 (:func:`~distrisk.space.level_laws`), so evaluating it again on that tree, at
 any level seen before, builds nothing; another space or filtration replaces
 the kept laws, so a payoff holds at most one tree's levels, 36 bytes per
-merged point and 24 per cell on each.  The ``distribution_*`` functions
-compute the same quantities on one :class:`~distrisk.space.DiscreteDistribution`
-and serve as the per-cell reference.
+merged point and 24 per cell on each.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import numpy as np
 from .distortion import Distortion, DistortionMeasure, MinVar, psi_from_measure
 from .space import (
     AdaptedValue,
-    DiscreteDistribution,
     DomainError,
     Filtration,
     LevelLaws,
@@ -33,20 +30,6 @@ from .space import (
     level_laws,
 )
 from .tolerance import CROSS_CHECK_TOL
-
-
-def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
-    """Distorted negative expectation of a finite law.
-
-    With sorted support x_1 < ... < x_n and cumulative weights F_i this is
-    -sum_i x_i (psi(F_i) - psi(F_{i-1})), the exact value of the
-    tail-distorted integral for step distributions.
-    """
-    F = np.minimum(np.cumsum(dist.weights), 1.0)  # round-off may pass 1 early
-    F[-1] = 1.0
-    psi_F = np.asarray(psi(F), dtype=float)
-    increments = np.diff(np.concatenate(([0.0], psi_F)))
-    return -float(np.add.reduce(dist.support * increments))
 
 
 def choquet(
@@ -65,21 +48,6 @@ def choquet(
 def _distorted(laws: LevelLaws, psi: Distortion) -> np.ndarray:
     psi_F = np.asarray(psi(laws.F), dtype=float)
     return -laws.sum(laws.support * (psi_F - laws.shift(psi_F)))
-
-
-def distribution_quantile_upper(dist: DiscreteDistribution, alpha: float) -> float:
-    """sup of the set where the CDF stays <= alpha."""
-    F = np.cumsum(dist.weights)
-    idx = int(np.argmax(F > alpha)) if np.any(F > alpha) else dist.support.size - 1
-    return float(dist.support[idx])
-
-
-def distribution_quantile_lower(dist: DiscreteDistribution, alpha: float) -> float:
-    """inf of the set where the CDF reaches alpha."""
-    F = np.cumsum(dist.weights)
-    F[-1] = 1.0
-    idx = int(np.argmax(F >= alpha))
-    return float(dist.support[idx])
 
 
 def _check_alpha_open(alpha: float) -> float:
@@ -109,21 +77,6 @@ def var(space, filtration, X, t, alpha) -> AdaptedValue:
     return AdaptedValue(t, -q.cell_values)
 
 
-def distribution_avar(dist: DiscreteDistribution, alpha: float) -> float:
-    """Tail mean -1/alpha * integral of the upper quantile over (0, alpha).
-
-    The quantile is the step function taking value x_i on the level interval
-    (F_{i-1}, F_i]; the integral is the sum of step values times overlap
-    lengths with (0, alpha), computed exactly.
-    """
-    alpha = _check_alpha_tail(alpha)
-    F = np.cumsum(dist.weights)
-    F[-1] = 1.0
-    lo = np.concatenate(([0.0], F[:-1]))
-    overlap = np.clip(np.minimum(F, alpha) - lo, 0.0, None)
-    return -float(dist.support @ overlap) / alpha
-
-
 def _check_alpha_tail(alpha: float) -> float:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
@@ -142,25 +95,6 @@ def avar(space, filtration, X, t, alpha) -> AdaptedValue:
     return AdaptedValue(t, _tail_mean(level_laws(space, filtration, X, t), alpha))
 
 
-def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
-    """Same tail mean through its change-of-measure maximizer.
-
-    The density is 1/alpha below the upper quantile q, a fractional weight on
-    the atom at q chosen so the density integrates to 1, and 0 above.
-    """
-    alpha = _check_alpha_tail(alpha)
-    if alpha == 1.0:
-        return -dist.mean()
-    q = distribution_quantile_upper(dist, alpha)
-    below = dist.support < q
-    at = dist.support == q
-    p_below = float(dist.weights[below].sum())
-    p_at = float(dist.weights[at].sum())
-    eps = (alpha - p_below) / p_at if p_at > 0.0 else 0.0
-    density = (below + eps * at) / alpha
-    return -float((dist.support * density) @ dist.weights)
-
-
 def avar_robust(space, filtration, X, t, alpha) -> AdaptedValue:
     """Conditional average value at risk via the maximizing density."""
     alpha = _check_alpha_tail(alpha)
@@ -173,16 +107,6 @@ def avar_robust(space, filtration, X, t, alpha) -> AdaptedValue:
     at = q[laws.cell]
     density = ((point < at) + eps[laws.cell] * (point == at)) / alpha
     return AdaptedValue(t, -laws.sum(laws.support * density * laws.weights))
-
-
-def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> float:
-    """Mixture of tail means over the levels of mu."""
-    return float(
-        sum(
-            w * distribution_avar(dist, s)
-            for s, w in zip(mu.support, mu.weights)
-        )
-    )
 
 
 def dwvar(space, filtration, X, t, mu: DistortionMeasure) -> AdaptedValue:

@@ -252,7 +252,8 @@ class AdaptedValue:
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Finitely supported law: strictly increasing support, positive weights."""
+    """Finitely supported law: finite, strictly increasing support and
+    positive weights summing to 1 within ``PROB_SUM_TOL``."""
 
     support: np.ndarray
     weights: np.ndarray
@@ -262,6 +263,8 @@ class DiscreteDistribution:
         w = np.asarray(self.weights, dtype=float)
         if s.shape != w.shape or s.ndim != 1 or s.size == 0:
             raise DomainError("support and weights must be matching non-empty vectors")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(w))):
+            raise DomainError("support and weights must be finite")
         if np.any(np.diff(s) <= 0):
             raise DomainError("support must be strictly increasing")
         if np.any(w <= 0):
@@ -513,8 +516,13 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
         levels = [partitions.level(t) for t in range(partitions.horizon + 1)]
         built = partitions.n_atoms == n  # then every level is known to partition the atoms
     else:
-        levels = list(map(_integer_level, partitions))
+        try:
+            levels = list(map(_integer_level, partitions))
+        except TypeError:  # not iterable
+            levels = []
         built = False
+    if not levels:
+        report.append("partitions: not a non-empty sequence of levels")
     ok_shape = True
     for t, level in enumerate(levels):
         if level is None or not built and _partition_problem(t, *level, n) is not None:
@@ -541,7 +549,7 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
                 )
     for j, vec in enumerate(value_vectors):
         v = _floats(vec)
-        if v is None:
+        if v is None or v.ndim != 1:
             report.append(f"payoff {j}: not a vector of numbers")
         elif v.size != n:
             report.append(f"payoff {j}: length {v.size} != atom count {n}")

@@ -1,12 +1,16 @@
 """Per-cell reference implementations, used as test oracles.
 
-Evaluators walk the cells one at a time through `conditional_distribution`
-and the `distribution_*` functions; `merge_ties` is the two-key (cell, value)
-sort that the level laws must line up with; the structural maps and the
-checkers are the straightforward loops over cells and children, and the
-sub-martingale and middle-rejection checks take every risk from the per-cell
-laws; `validate` is the set-based structural report and `document_to_text`
-the writer that renders every atom and cell through `dumps_17g`;
+Evaluators walk the cells one at a time: `conditional_distribution` gives
+each cell's law as a `DiscreteDistribution`, and the `distribution_*`
+functions here evaluate one such law (the library evaluates only on
+`LevelLaws`, every cell of a level at once); `dcai` brackets and bisects
+each cell's law with its own search bounds; `merge_ties` is the two-key
+(cell, value) sort that the level laws must line up with; the structural
+maps and the checkers are the straightforward loops over cells and
+children, and the sub-martingale and middle-rejection checks take every
+risk from the per-cell laws; `validate` is the set-based structural report
+and `document_to_text` the writer that renders every atom and cell through
+`dumps_17g`;
 `build_weakacc_continuous` lists the continuum counterexample's cells as
 int tuples; `dcai_scalar` is the index search with the increments taken by
 `np.diff(prepend=0.0)`.  The other checkers look up `choquet` and `dcai` on
@@ -28,17 +32,11 @@ from distrisk.consistency import (
     Counterexample,
     build_weakacc_continuous as library_weakacc_continuous,
 )
-from distrisk.distortion import m_mu
-from distrisk.risk import (
-    distribution_avar,
-    distribution_avar_robust,
-    distribution_choquet,
-    distribution_dwvar,
-    distribution_quantile_lower,
-    distribution_quantile_upper,
-)
+from distrisk.distortion import Distortion, DistortionMeasure, m_mu
+from distrisk.risk import _check_alpha_tail
 from distrisk.space import (
     RENORM_WINDOW,
+    DiscreteDistribution,
     Filtration,
     RandomVariable,
     conditional_distribution,
@@ -46,6 +44,85 @@ from distrisk.space import (
 )
 from distrisk.tolerance import BISECT_TOL, X_MAX, X_MIN
 from distrisk.treedoc import SCHEMA_VERSION, dumps_17g
+
+# the bounds of the per-cell index search, written out here rather than read
+# from distrisk.tolerance, so that the oracle does not move with the library
+DCAI_X_MIN = 1e-9
+DCAI_X_MAX = 1e6
+DCAI_TOL = 1e-9
+
+
+def distribution_choquet(dist: DiscreteDistribution, psi: Distortion) -> float:
+    """Distorted negative expectation of a finite law.
+
+    With sorted support x_1 < ... < x_n and cumulative weights F_i this is
+    -sum_i x_i (psi(F_i) - psi(F_{i-1})), the exact value of the
+    tail-distorted integral for step distributions.
+    """
+    F = np.minimum(np.cumsum(dist.weights), 1.0)  # round-off may pass 1 early
+    F[-1] = 1.0
+    psi_F = np.asarray(psi(F), dtype=float)
+    increments = np.diff(np.concatenate(([0.0], psi_F)))
+    return -float(np.add.reduce(dist.support * increments))
+
+
+def distribution_quantile_upper(dist: DiscreteDistribution, alpha: float) -> float:
+    """sup of the set where the CDF stays <= alpha."""
+    F = np.cumsum(dist.weights)
+    idx = int(np.argmax(F > alpha)) if np.any(F > alpha) else dist.support.size - 1
+    return float(dist.support[idx])
+
+
+def distribution_quantile_lower(dist: DiscreteDistribution, alpha: float) -> float:
+    """inf of the set where the CDF reaches alpha."""
+    F = np.cumsum(dist.weights)
+    F[-1] = 1.0
+    idx = int(np.argmax(F >= alpha))
+    return float(dist.support[idx])
+
+
+def distribution_avar(dist: DiscreteDistribution, alpha: float) -> float:
+    """Tail mean -1/alpha * integral of the upper quantile over (0, alpha).
+
+    The quantile is the step function taking value x_i on the level interval
+    (F_{i-1}, F_i]; the integral is the sum of step values times overlap
+    lengths with (0, alpha), computed exactly.
+    """
+    alpha = _check_alpha_tail(alpha)
+    F = np.cumsum(dist.weights)
+    F[-1] = 1.0
+    lo = np.concatenate(([0.0], F[:-1]))
+    overlap = np.clip(np.minimum(F, alpha) - lo, 0.0, None)
+    return -float(dist.support @ overlap) / alpha
+
+
+def distribution_avar_robust(dist: DiscreteDistribution, alpha: float) -> float:
+    """Same tail mean through its change-of-measure maximizer.
+
+    The density is 1/alpha below the upper quantile q, a fractional weight on
+    the atom at q chosen so the density integrates to 1, and 0 above.
+    """
+    alpha = _check_alpha_tail(alpha)
+    if alpha == 1.0:
+        return -dist.mean()
+    q = distribution_quantile_upper(dist, alpha)
+    below = dist.support < q
+    at = dist.support == q
+    p_below = float(dist.weights[below].sum())
+    p_at = float(dist.weights[at].sum())
+    eps = (alpha - p_below) / p_at if p_at > 0.0 else 0.0
+    density = (below + eps * at) / alpha
+    return -float((dist.support * density) @ dist.weights)
+
+
+def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> float:
+    """Mixture of tail means over the levels of mu."""
+    return float(
+        sum(
+            w * distribution_avar(dist, s)
+            for s, w in zip(mu.support, mu.weights)
+        )
+    )
 
 
 def laws(space, filtration, X, t):
@@ -89,7 +166,7 @@ def min_iid_rho(cell_laws, k):
     return np.asarray(out)
 
 
-def dcai(cell_laws, family, x_min=1e-9, x_max=1e6, tol=1e-9):
+def dcai(cell_laws, family):
     """Geometric bracketing plus bisection on each cell's law."""
 
     def rho(d, x):
@@ -97,18 +174,18 @@ def dcai(cell_laws, family, x_min=1e-9, x_max=1e6, tol=1e-9):
 
     out = []
     for d in cell_laws:
-        if rho(d, x_min) > 0.0:
+        if rho(d, DCAI_X_MIN) > 0.0:
             out.append(0.0)
             continue
-        lo, hi = x_min, 2.0 * x_min
-        while hi <= x_max and rho(d, hi) <= 0.0:
+        lo, hi = DCAI_X_MIN, 2.0 * DCAI_X_MIN
+        while hi <= DCAI_X_MAX and rho(d, hi) <= 0.0:
             lo, hi = hi, 2.0 * hi
-        if hi > x_max:
-            if rho(d, x_max) <= 0.0:
+        if hi > DCAI_X_MAX:
+            if rho(d, DCAI_X_MAX) <= 0.0:
                 out.append(math.inf)
                 continue
-            hi = x_max
-        while hi - lo > tol:
+            hi = DCAI_X_MAX
+        while hi - lo > DCAI_TOL:
             mid = 0.5 * (lo + hi)
             if rho(d, mid) <= 0.0:
                 lo = mid
@@ -300,6 +377,8 @@ def validate(probabilities, partitions, *value_vectors):
         report.append(f"probabilities: sum {total} outside renormalization window")
 
     levels = [[tuple(int(i) for i in cell) for cell in lvl] for lvl in partitions]
+    if not levels:
+        report.append("partitions: not a non-empty sequence of levels")
     # int() also takes 0.9, "1" and True; a level holding one is no partition
     integral = [
         all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
@@ -333,7 +412,9 @@ def validate(probabilities, partitions, *value_vectors):
                     )
     for j, vec in enumerate(value_vectors):
         v = np.asarray(vec, dtype=float)
-        if v.size != n:
+        if v.ndim != 1:
+            report.append(f"payoff {j}: not a vector of numbers")
+        elif v.size != n:
             report.append(f"payoff {j}: length {v.size} != atom count {n}")
         elif np.any(~np.isfinite(v)):
             report.append(f"payoff {j}: non-finite values")

@@ -45,9 +45,9 @@ from distrisk import (
     psi_from_measure,
 )
 from distrisk.consistency import is_pprime
-from distrisk.risk import distribution_choquet, distribution_dwvar
 from distrisk.space import conditional_distribution
 
+from bruteforce import distribution_choquet, distribution_dwvar
 from conftest import (
     random_measure,
     random_payoff,

@@ -251,7 +251,7 @@ class TestLevelLaws:
         X = RandomVariable([0.0, 1.0, 2.0, 3.0])
         assert fresh_laws(space, filtration, X, 0).F.tolist() == [0.342, 0.9000000000000001, 1.0, 1.0]
         d = conditional_distribution(space, filtration, X, 0, 0)
-        assert choquet(space, filtration, X, 0, psi).cell_values[0] == risk.distribution_choquet(d, psi)
+        assert choquet(space, filtration, X, 0, psi).cell_values[0] == bruteforce.distribution_choquet(d, psi)
         assert dcai(space, filtration, X, 0, family).cell_values.tolist() == [math.inf]
 
 

@@ -29,10 +29,10 @@ from distrisk import (
     var,
 )
 from distrisk.distortion import PiecewiseLinear
-from distrisk.risk import distribution_choquet
 from distrisk.space import conditional_distribution
 from distrisk.tolerance import CROSS_CHECK_TOL
 
+from bruteforce import distribution_choquet
 from conftest import (
     random_measure,
     random_payoff,

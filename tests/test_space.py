@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from distrisk import (
     AdaptedValue,
+    DiscreteDistribution,
     DomainError,
     Filtration,
     RandomVariable,
@@ -16,9 +17,9 @@ from distrisk import (
     lift,
     validate,
 )
-from distrisk.risk import distribution_quantile_lower
 from distrisk.space import Level
 
+from bruteforce import distribution_quantile_lower
 from conftest import random_payoff, random_tree
 
 
@@ -120,6 +121,17 @@ class TestConditionalDistribution:
                     assert abs(d.weights.sum() - 1.0) <= 1e-12
 
 
+class TestDiscreteDistribution:
+    @pytest.mark.parametrize("support, weights", [
+        ([np.nan], [1.0]),
+        ([1.0, np.inf], [0.5, 0.5]),
+        ([1.0, 2.0], [np.nan, 0.5]),
+    ], ids=["nan-support", "inf-support", "nan-weight"])
+    def test_rejects_non_finite(self, support, weights):
+        with pytest.raises(DomainError, match="^support and weights must be finite$"):
+            DiscreteDistribution(np.asarray(support), np.asarray(weights))
+
+
 class TestConditionalExpectation:
     def test_binomial_values(self):
         space, filtration = binomial_tree()
@@ -189,6 +201,20 @@ class TestValidate:
     def test_never_raises_on_garbage(self):
         report = validate([0.5, 0.5, -1.0], [[[0, 1]], [[0], [1]]], [1.0])
         assert report  # several problems, reported not raised
+
+    def test_no_levels_reported(self):
+        with pytest.raises(DomainError, match="at least one level"):
+            Filtration([])
+        assert validate([1.0], []) == ["partitions: not a non-empty sequence of levels"]
+
+    def test_matrix_payoff_reported(self):
+        with pytest.raises(DomainError):
+            RandomVariable(np.asarray([[1.0, 2.0]]))
+        report = validate([0.5, 0.5], [[[0, 1]], [[0], [1]]], [[1.0, 2.0]])
+        assert report == ["payoff 0: not a vector of numbers"]
+
+    def test_none_payoff_is_not_a_vector(self):
+        assert validate([1.0], [[[0]]], None) == ["payoff 0: not a vector of numbers"]
 
 
 @settings(max_examples=50, deadline=None)

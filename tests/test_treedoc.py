@@ -434,6 +434,8 @@ class TestValidateOracle:
         ([[0.5], [0.25, 0.25]], [[[0]]], (), ["probabilities: not a non-empty vector"]),
         ([0.5, 0.5], [[[0, 1]], [[0], [1]]], (["a", "b"], [1.0, {}]),
          ["payoff 0: not a vector of numbers", "payoff 1: not a vector of numbers"]),
+        ([1.0], None, (), ["partitions: not a non-empty sequence of levels"]),
+        ([1.0], 5, (), ["partitions: not a non-empty sequence of levels"]),
     ])
     def test_garbage_reported_not_raised(self, probabilities, partitions, values, want):
         with pytest.raises((TypeError, ValueError)):
