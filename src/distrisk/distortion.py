@@ -37,7 +37,7 @@ from .tolerance import (
 
 def _check_unit(y) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
-    if (arr < 0.0).any() or (arr > 1.0).any():  # ndarray.any: no np.any dispatch layers
+    if not ((arr >= 0.0).all() and (arr <= 1.0).all()):  # NaN fails; ndarray.all: no np.all layers
         raise DomainError("argument must lie in [0, 1]")
     return arr
 
@@ -65,7 +65,7 @@ class Distortion:
     def right_derivative(self, z):
         """Right derivative at z in [0,1); math.inf where it diverges."""
         z = np.asarray(z, dtype=float)
-        if np.any(z < 0) or np.any(z >= 1):
+        if not ((z >= 0).all() and (z < 1).all()):  # NaN fails both
             raise DomainError("right derivative needs z in [0, 1)")
         if self.is_identity():
             return np.ones_like(z) if z.ndim else 1.0

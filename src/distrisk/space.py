@@ -55,21 +55,6 @@ class ScenarioSpace:
         return int(self.probabilities.size)
 
 
-def _partition_problem(t: int, atoms: np.ndarray, sizes: np.ndarray, n: int) -> str | None:
-    """Why the level at time t, given as its atom indices flat in cell order
-    and its cell sizes, is not a partition of the atoms 0..n-1; None if it is."""
-    if np.any(sizes < 0):
-        return f"negative cell size at time {t}"
-    if np.any(sizes == 0):
-        return f"empty cell at time {t}"
-    uncovered = f"level {t} does not cover the same atom set"
-    if atoms.size and (atoms.min() < 0 or atoms.max() >= n):
-        return "atom indices must be 0..n-1" if t == 0 else uncovered
-    if np.bincount(atoms, minlength=n).max(initial=0) > 1:
-        return f"overlapping cells at time {t}"
-    return uncovered if atoms.size != n else None
-
-
 class Level(NamedTuple):
     """A filtration level as int32 arrays: atoms flat in cell order, cell sizes."""
 
@@ -89,26 +74,41 @@ def _level_arrays(level) -> Level:
     return Level(atoms, sizes)
 
 
-def _cell_map(atoms: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray | None:
-    """A level's atom -> cell map, or None where it does not partition 0..n-1:
-    n atoms in [0, n) scattered once cover every atom when no -1 is left."""
-    if not (atoms.size == n == sizes.sum() and sizes.min(initial=1) > 0
-            and 0 <= atoms.min(initial=0) and atoms.max(initial=-1) < n):
-        return None
+def _cell_map(t: int, atoms: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """The level's atom -> cell map, or DomainError naming why it is not a
+    partition of 0..n-1: its atoms, scattered once into n -1s, cover fewer
+    entries than they list where cells overlap, fewer than n where one is left out."""
+    smallest = sizes.min(initial=1)
+    if smallest < 0:
+        raise DomainError(f"negative cell size at time {t}")
+    if smallest == 0:
+        raise DomainError(f"empty cell at time {t}")
+    uncovered = f"level {t} does not cover the same atom set"
+    if atoms.min(initial=0) < 0 or atoms.max(initial=-1) >= n:
+        raise DomainError("atom indices must be 0..n-1" if t == 0 else uncovered)
+    adds_up = sizes.sum() == atoms.size
     cell_of = np.full(n, -1, dtype=np.int32)
-    cell_of[atoms] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes)
-    return None if (cell_of < 0).any() else cell_of
+    cell_of[atoms] = np.repeat(np.arange(sizes.size, dtype=np.int32), sizes) if adds_up else 0
+    covered = n - np.count_nonzero(cell_of < 0)
+    if covered < atoms.size:
+        raise DomainError(f"overlapping cells at time {t}")
+    if covered < n:
+        raise DomainError(uncovered)
+    if not adds_up:
+        raise DomainError(f"cell sizes at time {t} do not add up to its atoms")
+    return cell_of
 
 
 class Filtration:
     """Per-time partitions of the atom index set.
 
-    The constructor only enforces that every level is a genuine partition of
-    the same atom set (non-empty disjoint cells covering all atoms).  The
-    structural invariants that make it a filtration -- trivial root, refinement
-    from one time to the next, full separation at the horizon -- are reported
-    by :func:`validate`, so defective structures can still be built and
-    diagnosed.
+    The constructor only enforces, with the one scatter that builds each
+    level's atom -> cell map, that every level is a genuine partition of the
+    same atom set (non-empty disjoint cells covering all atoms), and names the
+    fault where one is not.  The structural invariants that make it a
+    filtration -- trivial root, refinement from one time to the next, full
+    separation at the horizon -- are reported by :func:`validate`, so
+    defective structures can still be built and diagnosed.
 
     Each level is kept as one flat array of atom indices in the caller's cell
     order, the cell sizes, and a read-only atom -> cell map, all int32 (half
@@ -127,10 +127,7 @@ class Filtration:
             atoms, sizes = _level_arrays(level)
             if n is None:
                 n = atoms.size
-            cell_of = _cell_map(atoms, sizes, n)
-            if cell_of is None:  # the bincount test names the fault
-                raise DomainError(_partition_problem(t, atoms, sizes, n)
-                                  or f"cell sizes at time {t} do not add up to its atoms")
+            cell_of = _cell_map(t, atoms, sizes, n)
             for a in (atoms, sizes, cell_of):
                 a.setflags(write=False)
             self._atoms.append(atoms)
@@ -477,14 +474,15 @@ def _floats(values):
         return None
 
 
-def _integer_level(level) -> Level | None:
-    """A :class:`Level`, or None where an entry is not an int (nor a bool) or exceeds int32."""
+def _integer_level(level) -> Level:
+    """A :class:`Level`; DomainError where an entry is not an int (nor a bool) or exceeds int32."""
     try:
         kinds = () if isinstance(level, Level) else set(map(type, itertools.chain(*level)))
-        ints = all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds)
-        return _level_arrays(level) if ints else None
+        if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+            return _level_arrays(level)
     except (TypeError, ValueError, OverflowError):
-        return None
+        pass
+    raise DomainError("level entries must be integers within int32")
 
 
 def validate(probabilities, partitions, *value_vectors) -> list[str]:
@@ -493,10 +491,10 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
     constructors would reject can still be diagnosed; a level may also be
-    given as a :class:`Level`, as :class:`Filtration` takes it, and partitions
-    as a Filtration, whose levels and atom -> cell maps are then reused.  A level
-    with an empty cell, or an entry that is not an integer or too large for an
-    int32, is not a partition of the atom set.
+    given as a :class:`Level`, as :class:`Filtration` takes it.  Each level
+    goes through Filtration's own partition check, whose atom -> cell maps
+    then serve the refinement check.  A level with an empty cell, or an entry
+    that is not an integer or too large for an int32, is not a partition.
     """
     report: list[str] = []
     p = _floats(probabilities)
@@ -512,34 +510,29 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     if abs(total - 1.0) > RENORM_WINDOW:
         report.append(f"probabilities: sum {total} outside renormalization window")
 
-    if hasattr(partitions, "cell_of_atom"):  # a Filtration (perfbench may wrap the class name)
-        levels = [partitions.level(t) for t in range(partitions.horizon + 1)]
-        built = partitions.n_atoms == n  # then every level is known to partition the atoms
-    else:
-        try:
-            levels = list(map(_integer_level, partitions))
-        except TypeError:  # not iterable
-            levels = []
-        built = False
+    try:
+        levels = list(partitions)
+    except TypeError:  # not iterable
+        levels = []
     if not levels:
         report.append("partitions: not a non-empty sequence of levels")
-    ok_shape = True
+    maps = []
     for t, level in enumerate(levels):
-        if level is None or not built and _partition_problem(t, *level, n) is not None:
+        try:
+            levels[t] = _integer_level(level)
+            maps.append(_cell_map(t, *levels[t], n))
+        except DomainError:
             report.append(f"partition t={t}: not a partition of the atom set")
-            ok_shape = False
-    if ok_shape and levels:
+    if levels and len(maps) == len(levels):  # every level partitions the atoms
         if levels[0][1].size != 1:
             report.append("partition t=0: not the trivial single cell")
         if levels[-1][1].size != n:
             report.append(f"partition t={len(levels) - 1}: does not separate all atoms")
-        filtration = partitions if built else Filtration(levels)  # each level partitions
         for t in range(len(levels) - 1):
             # each listed atom of t+1: its cell, and the t-cell holding it
             atoms, sizes = levels[t + 1]
-            cell = np.repeat(np.arange(sizes.size), sizes)
+            cell, up = maps[t + 1][atoms], maps[t][atoms]
             start = np.cumsum(sizes) - sizes
-            up = filtration.cell_of_atom(t)[atoms]
             straddling = np.bincount(cell[up != up[start[cell]]], minlength=sizes.size)
             for k in np.flatnonzero(straddling).tolist():
                 span = slice(start[k], start[k] + sizes[k])

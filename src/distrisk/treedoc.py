@@ -210,10 +210,10 @@ def document_from_text(text: str) -> TreeDocument:
 
     Each part is checked in bulk first; only when a check fails is the part
     walked entry by entry, to report the first bad entry by its position.
-    Each level is converted once, to the int32 arrays that :class:`Filtration`
-    checks and keeps, and that :func:`validate` then reads.  The cyclic garbage
-    collector is paused while reading (the parsed JSON holds a container per
-    atom and per cell, and no cycle) and then left as the caller had it.
+    Each level is converted once, to int32 arrays that :func:`validate` checks
+    and :class:`Filtration` then keeps.  The cyclic garbage collector is paused
+    while reading (the parsed JSON holds a container per atom and per cell,
+    and no cycle) and then left as the caller had it.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -254,15 +254,12 @@ def _read(text: str) -> TreeDocument:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("metadata: expected an object")
-    try:  # each level checked and indexed here, once; validate reads the result
-        filtration = Filtration(levels)
-    except (DomainError, OverflowError):
-        filtration = None
-    problems = validate(probs, levels if filtration is None else filtration, *values.values())
+    problems = validate(probs, levels, *values.values())
     if problems:
         raise ParseError("; ".join(problems))
     try:
         space = ScenarioSpace(probs)
+        filtration = Filtration(levels)
         payoffs_rv = {n: RandomVariable(v) for n, v in values.items()}
     except DomainError as e:
         raise ParseError(str(e)) from None

@@ -13,9 +13,10 @@ and `document_to_text` the writer that renders every atom and cell through
 `dumps_17g`;
 `build_weakacc_continuous` lists the continuum counterexample's cells as
 int tuples; `dcai_scalar` is the index search with the increments taken by
-`np.diff(prepend=0.0)`.  The other checkers look up `choquet` and `dcai` on
-`distrisk.consistency` at call time, so a test that replaces those names
-feeds the library checker and its oracle the same values.
+`np.diff(prepend=0.0)`, from which `check_weak_rejection_dcai` takes its
+indices.  The other checkers look up `choquet` on `distrisk.consistency` at
+call time, so a test that replaces that name (and `dcai_scalar` here) feeds
+the library checker and its oracle the same values.
 """
 
 from __future__ import annotations
@@ -338,8 +339,8 @@ def check_weak_acceptance(space, filtration, X, psi, t, s):
 
 
 def check_weak_rejection_dcai(space, filtration, X, family, t, s):
-    a_t = consistency.dcai(space, filtration, X, t, family).cell_values
-    a_s = consistency.dcai(space, filtration, X, s, family).cell_values
+    a_t = dcai_scalar(space, filtration, X, t, family)
+    a_s = dcai_scalar(space, filtration, X, s, family)
     par = parent(filtration, t, s)
     index_slack = 1e-6
     witness = None

@@ -57,6 +57,17 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             MinVar(-1)
 
+    @pytest.mark.parametrize("psi", [
+        Identity(), ProportionalHazard(0.5), MinVar(1), MaxVar(1), MaxMinVar(1), MinMaxVar(1),
+        psi_from_measure(dirac(0.5)),
+    ], ids=lambda psi: type(psi).__name__)
+    @pytest.mark.parametrize("y", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_nan_argument_rejected(self, psi, y):
+        with pytest.raises(DomainError, match=r"^argument must lie in \[0, 1\]$"):
+            psi(y)
+        with pytest.raises(DomainError, match=r"^right derivative needs z in \[0, 1\)$"):
+            psi.right_derivative(y)
+
     @pytest.mark.parametrize("kind", [MinVar, MaxVar, MaxMinVar, MinMaxVar])
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_non_finite_parameter_rejected(self, kind, x):

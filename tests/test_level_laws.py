@@ -708,6 +708,7 @@ class TestFiltrationArrays:
     @pytest.mark.parametrize("levels, message", [
         ((((0, 1), (1,)),), "overlapping cells at time 0"),
         ((((0, 1, 2),), ((0, 1), (1, 2))), "overlapping cells at time 1"),
+        ((((0, 1, 2),), ((0,), (0,))), "overlapping cells at time 1"),  # and 1, 2 left out
         ((((0, 1, 2),), ((0,), ())), "empty cell at time 1"),
         ((((0, 1, 2),), ((0,), (1,))), "level 1 does not cover the same atom set"),
         ((((0, 1, 2),), ((0,), (1,), (3,))), "level 1 does not cover the same atom set"),
@@ -858,8 +859,12 @@ class TestCheckersMatchBruteForce:
         def fake_dcai(space, filtration, X, t, family):
             return AdaptedValue(t, values[t])
 
+        def fake_dcai_scalar(space, filtration, X, t, family):
+            return values[t]
+
         monkeypatch.setattr(consistency, "choquet", fake_choquet)
         monkeypatch.setattr(consistency, "dcai", fake_dcai)
+        monkeypatch.setattr(bruteforce, "dcai_scalar", fake_dcai_scalar)
         seen = set()
         for space, filtration in trees:
             X = RandomVariable(np.zeros(space.n_atoms))

@@ -69,6 +69,10 @@ class TestFiltration:
         # the sizes add up to the atoms, but a negative one overlaps the cells
         with pytest.raises(DomainError, match="^negative cell size at time 0$"):
             Filtration((Level(atoms, np.array([2, -1, 2], dtype=np.int32)),))
+        # the sizes do not add up, and an atom is listed twice: the overlap is named
+        twice = np.array([0, 0, 1], dtype=np.int32)
+        with pytest.raises(DomainError, match="^overlapping cells at time 0$"):
+            Filtration((Level(twice, np.array([1, 1], dtype=np.int32)),))
 
     def test_cells_given_as_arrays(self):
         # one atom per cell, and an array cell of two atoms, whose bool() raises
@@ -201,6 +205,15 @@ class TestValidate:
     def test_never_raises_on_garbage(self):
         report = validate([0.5, 0.5, -1.0], [[[0, 1]], [[0], [1]]], [1.0])
         assert report  # several problems, reported not raised
+
+    def test_level_whose_sizes_do_not_add_up_reported(self):
+        # Filtration rejects it; validate names it as no partition, not raise
+        level = Level(np.arange(3, dtype=np.int32), np.array([2, 2], dtype=np.int32))
+        with pytest.raises(DomainError, match="^cell sizes at time 0 do not add up"):
+            Filtration([level])
+        assert validate([0.25, 0.5, 0.25], [level]) == [
+            "partition t=0: not a partition of the atom set"
+        ]
 
     def test_no_levels_reported(self):
         with pytest.raises(DomainError, match="at least one level"):

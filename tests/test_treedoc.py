@@ -25,7 +25,7 @@ from distrisk import (
     build_weakacc_pprime,
     validate,
 )
-from distrisk import space, treedoc
+from distrisk import treedoc
 from distrisk.space import Level
 from distrisk.treedoc import (
     ParseError,
@@ -307,8 +307,9 @@ def test_collector_paused_while_reading_and_restored(doc, enabled, monkeypatch):
 
 
 def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
-    """Filtration checks and indexes each level once; validate reads that
-    Filtration, which the document then keeps."""
+    """Each level is converted once, to int32 arrays: validate checks them
+    first, and the Filtration built next, which the document keeps, holds
+    the same arrays."""
     partitions = [[[2, 0, 1]], [[1], [0, 2]], [[2], [0], [1]]]
     want = Filtration(partitions)
     calls = []
@@ -323,11 +324,10 @@ def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
 
     spy(treedoc, "validate")
     spy(treedoc, "Filtration")
-    spy(space, "_partition_problem")
     got = document_from_text(levels(partitions)).filtration
-    assert [name for name, _ in calls] == ["Filtration", "validate"]
-    given, checked = calls[0][1][0], calls[-1][1][1]
-    assert checked is got
+    assert [name for name, _ in calls] == ["validate", "Filtration"]
+    checked, given = calls[0][1][1], calls[-1][1][0]
+    assert checked is given
     assert all(type(level) is Level for level in given)
     for t in range(3):
         assert got.level(t).atoms is given[t].atoms
@@ -376,6 +376,7 @@ class TestValidateOracle:
 
     @pytest.mark.parametrize("probabilities, partitions, values", [
         ([0.5, 0.5], [[[0, 1]], [[0, 1], [1]]], ()),
+        ([0.5, 0.5], [[[0, 1]], [[0], [0]]], ()),
         ([0.5, 0.5], [[[0]], [[0], [1]]], ()),
         ([0.5, 0.5], [[[0, 1]], [[-1], [0], [1]]], ()),
         ([0.5, 0.5], [[[0, 1]], [[0], [1], [2]]], ()),
