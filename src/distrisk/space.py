@@ -63,10 +63,12 @@ class Level(NamedTuple):
 
 
 def _level_arrays(level) -> Level:
-    """A level given as its cells, as a :class:`Level` (np.fromiter raises on
-    entries too large for an int32, and truncates a float); a Level as it is."""
+    """Cells as a :class:`Level` (np.fromiter raises on entries beyond int32, and
+    truncates a float); a Level as it is, if both its fields are int32 vectors."""
     if isinstance(level, Level):
-        return level
+        if all(isinstance(a, np.ndarray) and a.dtype == np.int32 and a.ndim == 1 for a in level):
+            return level
+        raise DomainError("a Level holds two one-dimensional int32 arrays")
     sizes = np.fromiter(map(len, level), dtype=np.int32)
     atoms = np.fromiter(
         itertools.chain.from_iterable(level), dtype=np.int32, count=int(sizes.sum())
@@ -110,32 +112,28 @@ class Filtration:
     separation at the horizon -- are reported by :func:`validate`, so
     defective structures can still be built and diagnosed.
 
-    Each level is kept as one flat array of atom indices in the caller's cell
-    order, the cell sizes, and a read-only atom -> cell map, all int32 (half
-    the memory of the default integer); the cells as int tuples are built
-    from those on first request.  A level may be given as its cells or as a
-    :class:`Level`, whose arrays are then kept, not copied, and made
-    read-only.
+    Each level is kept as one :class:`Level` (atom indices flat in the
+    caller's cell order, and the cell sizes) with a read-only atom -> cell
+    map, all int32; the cells as int tuples are built on first request.  A
+    given Level is kept as it is, its arrays made read-only.  Integer cells
+    are taken as given, their type unchecked (a float index is truncated):
+    :func:`validate` and the document reader are the checked doors.
     """
 
     def __init__(self, partitions) -> None:
-        self._atoms: list[np.ndarray] = []
-        self._sizes: list[np.ndarray] = []
+        self._levels: list[Level] = []
         self._cell_of: list[np.ndarray] = []
-        n = None
         for t, level in enumerate(partitions):
-            atoms, sizes = _level_arrays(level)
-            if n is None:
-                n = atoms.size
-            cell_of = _cell_map(t, atoms, sizes, n)
-            for a in (atoms, sizes, cell_of):
+            level = _level_arrays(level)
+            n = self._levels[0].atoms.size if t else level.atoms.size
+            cell_of = _cell_map(t, *level, n)
+            for a in (*level, cell_of):
                 a.setflags(write=False)
-            self._atoms.append(atoms)
-            self._sizes.append(sizes)
+            self._levels.append(level)
             self._cell_of.append(cell_of)
-        if n is None:
+        if not self._levels:
             raise DomainError("filtration needs at least one level")
-        self._cells: list = [None] * len(self._atoms)
+        self._cells: list = [None] * len(self._levels)
         self._ints: list | None = None
 
     @property
@@ -145,11 +143,11 @@ class Filtration:
 
     @property
     def horizon(self) -> int:
-        return len(self._atoms) - 1
+        return len(self._levels) - 1
 
     @property
     def n_atoms(self) -> int:
-        return int(self._atoms[0].size)
+        return int(self._levels[0].atoms.size)
 
     def _check_time(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
@@ -161,8 +159,8 @@ class Filtration:
         if self._cells[self._check_time(t)] is None:
             if self._ints is None:  # one int object per atom, shared by all levels
                 self._ints = list(range(self.n_atoms))
-            atoms = list(map(self._ints.__getitem__, self._atoms[t].tolist()))
-            ends = np.cumsum(self._sizes[t]).tolist()
+            atoms = list(map(self._ints.__getitem__, self._levels[t].atoms.tolist()))
+            ends = np.cumsum(self._levels[t].sizes).tolist()
             self._cells[t] = tuple(
                 tuple(atoms[a:b]) for a, b in zip([0] + ends[:-1], ends)
             )
@@ -170,10 +168,10 @@ class Filtration:
 
     def level(self, t: int) -> Level:
         """The atoms at time t, flat in cell order, and the cell sizes."""
-        return Level(self._atoms[self._check_time(t)], self._sizes[t])
+        return self._levels[self._check_time(t)]
 
     def n_cells(self, t: int) -> int:
-        return int(self._sizes[self._check_time(t)].size)
+        return int(self._levels[self._check_time(t)].sizes.size)
 
     def cell_of_atom(self, t: int) -> np.ndarray:
         """Map atom index -> cell index at time t (a read-only array)."""
@@ -187,8 +185,8 @@ class Filtration:
         """
         if self._check_time(s) < self._check_time(t):
             raise DomainError("need t <= s")
-        sizes = self._sizes[s]
-        first = self._atoms[s][np.cumsum(sizes) - sizes]
+        atoms, sizes = self._levels[s]
+        first = atoms[np.cumsum(sizes) - sizes]
         return self.cell_of_atom(t)[first]
 
 
@@ -475,11 +473,15 @@ def _floats(values):
 
 
 def _integer_level(level) -> Level:
-    """A :class:`Level`; DomainError where an entry is not an int (nor a bool) or exceeds int32."""
+    """A level from outside as a :class:`Level`: one type scan over a flat list of
+    its entries, then np.fromiter; DomainError unless each is a non-bool int in int32."""
+    if isinstance(level, Level):
+        return _level_arrays(level)
     try:
-        kinds = () if isinstance(level, Level) else set(map(type, itertools.chain(*level)))
-        if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
-            return _level_arrays(level)
+        flat = list(itertools.chain.from_iterable(level))
+        if all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, flat))):
+            return Level(np.fromiter(flat, np.int32, len(flat)),
+                         np.fromiter(map(len, level), np.int32))
     except (TypeError, ValueError, OverflowError):
         pass
     raise DomainError("level entries must be integers within int32")
@@ -491,10 +493,10 @@ def validate(probabilities, partitions, *value_vectors) -> list[str]:
     Never raises: returns one message per violated invariant, empty list iff
     everything checks out.  Accepts raw sequences so that defective inputs the
     constructors would reject can still be diagnosed; a level may also be
-    given as a :class:`Level`, as :class:`Filtration` takes it.  Each level
-    goes through Filtration's own partition check, whose atom -> cell maps
-    then serve the refinement check.  A level with an empty cell, or an entry
-    that is not an integer or too large for an int32, is not a partition.
+    given as a :class:`Level` of int32 vectors.  Each level goes through the
+    strict converter and Filtration's own partition check, whose atom -> cell
+    maps then serve the refinement check.  A level with an empty cell, or an
+    entry that is not an integer or too large for an int32, is not a partition.
     """
     report: list[str] = []
     p = _floats(probabilities)

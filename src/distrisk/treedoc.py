@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import DomainError, Filtration, Level, RandomVariable, ScenarioSpace, validate
+from .space import (DomainError, Filtration, Level, RandomVariable, ScenarioSpace,
+                    _integer_level, validate)
 
 SCHEMA_VERSION = 1
 
@@ -187,18 +188,16 @@ def _atom_columns(atoms: list):
 
 
 def _read_level(t: int, level) -> Level | list:
-    """A level of the document checked to be lists of integers, one pass over
-    its cells and one over its indices, and converted to int32 arrays; left
-    as it is where an index does not fit, for :func:`validate` to report."""
+    """A level of the document, its cells checked to be lists and converted by
+    :func:`~distrisk.space._integer_level`; left as it is where an int does not
+    fit an int32, for :func:`validate` to report."""
     if not isinstance(level, list):
         raise ParseError(f"filtration[{t}]: expected a list of cells")
     if set(map(type, level)) <= {list}:
-        flat = list(itertools.chain.from_iterable(level))
-        if set(map(type, flat)) <= {int}:
-            try:
-                return Level(np.fromiter(flat, np.int32, len(flat)),
-                             np.fromiter(map(len, level), np.int32, len(level)))
-            except OverflowError:
+        try:
+            return _integer_level(level)
+        except DomainError:
+            if set(map(type, itertools.chain.from_iterable(level))) <= {int}:
                 return level
     k = next(k for k, cell in enumerate(level)
              if type(cell) is not list or not set(map(type, cell)) <= {int})
@@ -257,10 +256,5 @@ def _read(text: str) -> TreeDocument:
     problems = validate(probs, levels, *values.values())
     if problems:
         raise ParseError("; ".join(problems))
-    try:
-        space = ScenarioSpace(probs)
-        filtration = Filtration(levels)
-        payoffs_rv = {n: RandomVariable(v) for n, v in values.items()}
-    except DomainError as e:
-        raise ParseError(str(e)) from None
-    return TreeDocument(space, filtration, payoffs_rv, dict(metadata))
+    payoffs = {n: RandomVariable(v) for n, v in values.items()}
+    return TreeDocument(ScenarioSpace(probs), Filtration(levels), payoffs, dict(metadata))

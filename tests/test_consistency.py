@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from distrisk import (
+    Counterexample,
     DomainError,
+    Filtration,
     Identity,
     MinVar,
     ProportionalHazard,
@@ -187,6 +189,17 @@ class TestBuilders:
         ce = build_weakacc_pprime(2.0)
         assert list(ce.X.values) == [2.0, 1.0, -2.0, -4.0]
         assert np.allclose(ce.space.probabilities, [5 / 12, 5 / 12, 1 / 12, 1 / 12])
+
+    @pytest.mark.parametrize("expected, message", [
+        ({"rho_0": [0.0, 0.0]}, "tiny: rho_0 shape mismatch"),
+        ({"rho_0": [0.25]}, "tiny: rho_0 off by 0.25 (> 0.125)"),
+    ], ids=["shape", "off-by"])
+    def test_self_check_failures_named(self, expected, message):
+        # one atom paying 0: its only risk is 0, one cell at time 0
+        tree = (ScenarioSpace([1.0]), Filtration([[[0]]]), RandomVariable([0.0]), Identity())
+        with pytest.raises(AssertionError) as err:
+            Counterexample("tiny", *tree, expected, 0.125)
+        assert str(err.value) == message
 
     def test_pprime_boundary_rejected(self):
         with pytest.raises(DomainError):

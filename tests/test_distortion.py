@@ -96,6 +96,22 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="knots must be finite"):
             PiecewiseLinear(knots_y, knots_v)
 
+    @pytest.mark.parametrize("knots_y, knots_v, message", [
+        ([0.0, 1.0], [0.0, 0.5, 1.0], "need matching knot vectors with at least two points"),
+        ([1.0], [1.0], "need matching knot vectors with at least two points"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "need matching knot vectors with at least two points"),
+        ([0.0, 0.5], [0.0, 1.0], "knot abscissae must start at 0 and end at 1"),
+        ([0.1, 1.0], [0.0, 1.0], "knot abscissae must start at 0 and end at 1"),
+        ([0.0, 0.6, 0.6, 1.0], [0.0, 0.5, 0.7, 1.0], "knot abscissae must be strictly increasing"),
+        ([0.0, 0.5, 1.0], [0.0, 0.5, 0.9], "a distortion must map 0 to 0 and 1 to 1"),
+        ([0.0, 0.5, 1.0], [0.1, 0.5, 1.0], "a distortion must map 0 to 0 and 1 to 1"),
+        ([0.0, 0.5, 1.0], [0.0, 1.2, 1.0], "a distortion must be non-decreasing"),
+    ], ids=["lengths", "one-knot", "matrix", "end", "start", "repeated-knot", "at-one",
+            "at-zero", "decreasing"])
+    def test_malformed_knots_rejected(self, knots_y, knots_v, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            PiecewiseLinear(knots_y, knots_v)
+
 
 class TestRightDerivative:
     def test_identity(self):
@@ -160,6 +176,10 @@ class TestMeasureFromDistortion:
             ref = betainc(2, x, grid)
             got = np.asarray([desc.cdf(y) for y in grid])
             assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("y, want", [(-0.5, 0.0), (0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_cdf_clamped_outside_the_open_unit_interval(self, y, want):
+        assert measure_from_distortion(MinVar(1)).cdf(y) == want
 
     def test_maxvar_atom_at_one(self):
         for x in (1, 2, 5):

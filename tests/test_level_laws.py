@@ -52,7 +52,7 @@ from distrisk import (
 )
 from distrisk import acceptability, consistency, risk
 from distrisk import space as space_module
-from distrisk.space import conditional_distribution, level_laws
+from distrisk.space import Level, conditional_distribution, level_laws
 from distrisk.tolerance import ANALYTIC_TOL
 
 from conftest import fresh_laws, random_measure, random_regular_distortion, random_tree
@@ -715,6 +715,13 @@ class TestFiltrationArrays:
         ((((0, 2),), ((0,), (2,))), "atom indices must be 0..n-1"),
         ((((-1, 0),),), "atom indices must be 0..n-1"),
         ((), "filtration needs at least one level"),
+        *(((level,), "a Level holds two one-dimensional int32 arrays") for level in (
+            Level(np.array([0.0, 1.0]), np.array([2])),
+            Level(np.array([0, 1]), np.array([2.0])),
+            Level([0, 1], [2]),
+            Level(np.array([0, 1], dtype=np.int64), np.array([2], dtype=np.int64)),
+            Level(np.array([[0, 1]], dtype=np.int32), np.array([2], dtype=np.int32)),
+        )),
     ])
     def test_malformed_partitions(self, levels, message):
         with pytest.raises(DomainError, match=message.replace(".", r"\.")):

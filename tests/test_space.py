@@ -46,6 +46,16 @@ class TestScenarioSpace:
         with pytest.raises(DomainError):
             ScenarioSpace(np.asarray([1.0, 0.0]))
 
+    @pytest.mark.parametrize("probabilities, message", [
+        ([], "probabilities must form a non-empty vector"),
+        ([[0.5, 0.5]], "probabilities must form a non-empty vector"),
+        ([np.nan, 0.5], "probabilities must be finite"),
+        ([np.inf, 0.5], "probabilities must be finite"),
+    ], ids=["empty", "matrix", "nan", "inf"])
+    def test_malformed_probabilities_named(self, probabilities, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ScenarioSpace(probabilities)
+
 
 class TestFiltration:
     def test_cells_and_horizon(self):
@@ -73,6 +83,13 @@ class TestFiltration:
         twice = np.array([0, 0, 1], dtype=np.int32)
         with pytest.raises(DomainError, match="^overlapping cells at time 0$"):
             Filtration((Level(twice, np.array([1, 1], dtype=np.int32)),))
+
+    def test_level_kept_as_one_object(self):
+        given = Level(np.array([1, 0], dtype=np.int32), np.array([2], dtype=np.int32))
+        filtration = Filtration([given, [[0], [1]]])
+        assert filtration.level(0) is given
+        assert filtration.level(1) is filtration.level(1)
+        assert not given.atoms.flags.writeable and not given.sizes.flags.writeable
 
     def test_cells_given_as_arrays(self):
         # one atom per cell, and an array cell of two atoms, whose bool() raises
@@ -135,6 +152,17 @@ class TestDiscreteDistribution:
         with pytest.raises(DomainError, match="^support and weights must be finite$"):
             DiscreteDistribution(np.asarray(support), np.asarray(weights))
 
+    @pytest.mark.parametrize("support, weights, message", [
+        ([], [], "support and weights must be matching non-empty vectors"),
+        ([1.0, 2.0], [1.0], "support and weights must be matching non-empty vectors"),
+        ([[1.0]], [[1.0]], "support and weights must be matching non-empty vectors"),
+        ([1.0, 2.0], [0.0, 1.0], "weights must be strictly positive"),
+        ([1.0, 2.0], [-0.5, 1.5], "weights must be strictly positive"),
+    ], ids=["empty", "lengths", "matrix", "zero-weight", "negative-weight"])
+    def test_malformed_law_named(self, support, weights, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DiscreteDistribution(np.asarray(support), np.asarray(weights))
+
 
 class TestConditionalExpectation:
     def test_binomial_values(self):
@@ -167,6 +195,11 @@ class TestConditionalExpectation:
         _, filtration = binomial_tree()
         with pytest.raises(DomainError, match="^cell value count does not match partition$"):
             lift(filtration, AdaptedValue(1, [1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("cell_values", [1.0, [[1.0, 2.0]]], ids=["scalar", "matrix"])
+    def test_adapted_value_must_be_a_vector(self, cell_values):
+        with pytest.raises(DomainError, match="^cell_values must form a vector$"):
+            AdaptedValue(0, cell_values)
 
     def test_quantile_step_integral_matches_mean(self):
         # the mean is the integral of the lower quantile over levels in (0,1)

@@ -25,7 +25,7 @@ from distrisk import (
     build_weakacc_pprime,
     validate,
 )
-from distrisk import treedoc
+from distrisk import space, treedoc
 from distrisk.space import Level
 from distrisk.treedoc import (
     ParseError,
@@ -307,9 +307,9 @@ def test_collector_paused_while_reading_and_restored(doc, enabled, monkeypatch):
 
 
 def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
-    """Each level is converted once, to int32 arrays: validate checks them
-    first, and the Filtration built next, which the document keeps, holds
-    the same arrays."""
+    """Each level is converted once, to int32 arrays, by the strict converter
+    that validate also calls: validate checks the arrays first, and the
+    Filtration built next, which the document keeps, holds the same arrays."""
     partitions = [[[2, 0, 1]], [[1], [0, 2]], [[2], [0], [1]]]
     want = Filtration(partitions)
     calls = []
@@ -322,15 +322,22 @@ def test_levels_converted_once_to_shared_int32_arrays(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(module, name, wrapper)
 
+    assert treedoc._integer_level is space._integer_level
+    spy(space, "_integer_level")  # as validate calls it
+    spy(treedoc, "_integer_level")  # as the reader calls it
     spy(treedoc, "validate")
     spy(treedoc, "Filtration")
     got = document_from_text(levels(partitions)).filtration
-    assert [name for name, _ in calls] == ["validate", "Filtration"]
-    checked, given = calls[0][1][1], calls[-1][1][0]
+    convert = ["_integer_level"] * 3
+    assert [name for name, _ in calls] == convert + ["validate"] + convert + ["Filtration"]
+    assert [args[0] for _, args in calls[:3]] == partitions
+    checked, given = calls[3][1][1], calls[-1][1][0]
     assert checked is given
     assert all(type(level) is Level for level in given)
+    # validate's own calls pass the reader's Levels through
+    assert all(args[0] is level for (_, args), level in zip(calls[4:7], given))
     for t in range(3):
-        assert got.level(t).atoms is given[t].atoms
+        assert got.level(t) is given[t]
         arrays = (*got.level(t), got.cell_of_atom(t))
         for a, b in zip(arrays, (*want.level(t), want.cell_of_atom(t))):
             assert a.dtype == np.int32 and not a.flags.writeable
@@ -417,7 +424,10 @@ class TestValidateOracle:
     @pytest.mark.parametrize("cells", [
         [[0.9], ["1"]], [[0.9], [1]], [[0], ["1"]], [[True], [0]], [[0], [np.True_]],
         [[0], [1.0]], [[0], [np.float64(1.0)]],
-    ], ids=["0.9-and-str", "0.9", "str", "true", "numpy-bool", "float", "numpy-float"])
+        Level(np.array([0.0, 1.0]), np.array([2])), Level(np.array([0, 1]), np.array([2.0])),
+        Level([0, 1], [2]), Level(np.array([0, 1], dtype=np.int64), np.array([2], dtype=np.int64)),
+    ], ids=["0.9-and-str", "0.9", "str", "true", "numpy-bool", "float", "numpy-float",
+            "level-float-atoms", "level-float-sizes", "level-of-lists", "level-int64"])
     def test_non_integer_entry_is_no_partition(self, cells):
         assert validate([0.5, 0.5], [[[0, 1]], cells]) == [
             "partition t=1: not a partition of the atom set"
