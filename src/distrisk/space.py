@@ -115,9 +115,9 @@ class Filtration:
     Each level is kept as one :class:`Level` (atom indices flat in the
     caller's cell order, and the cell sizes) with a read-only atom -> cell
     map, all int32; the cells as int tuples are built on first request.  A
-    given Level is kept as it is, its arrays made read-only.  Integer cells
-    are taken as given, their type unchecked (a float index is truncated):
-    :func:`validate` and the document reader are the checked doors.
+    given Level is kept, its arrays made read-only once all levels pass.
+    Integer cells are taken as given, their type unchecked (a float index is
+    truncated): :func:`validate` and the document reader are the checked doors.
     """
 
     def __init__(self, partitions) -> None:
@@ -126,13 +126,13 @@ class Filtration:
         for t, level in enumerate(partitions):
             level = _level_arrays(level)
             n = self._levels[0].atoms.size if t else level.atoms.size
-            cell_of = _cell_map(t, *level, n)
-            for a in (*level, cell_of):
-                a.setflags(write=False)
             self._levels.append(level)
-            self._cell_of.append(cell_of)
+            self._cell_of.append(_cell_map(t, *level, n))
         if not self._levels:
             raise DomainError("filtration needs at least one level")
+        for level, cell_of in zip(self._levels, self._cell_of):
+            for a in (*level, cell_of):
+                a.setflags(write=False)
         self._cells: list = [None] * len(self._levels)
         self._ints: list | None = None
 

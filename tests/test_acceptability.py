@@ -24,7 +24,8 @@ from distrisk import (
     minvar_family,
 )
 from distrisk import acceptability
-from distrisk.tolerance import INDEX_TOL
+from distrisk.space import level_laws
+from distrisk.tolerance import INDEX_TOL, X_MAX, X_MIN
 
 import bruteforce
 from conftest import random_payoff, random_tree
@@ -166,6 +167,110 @@ def test_interior_pool_matches_scalar_search(interior_pool, family):
             assert kind == list(map(exit_kind, bruteforce.dcai(cell_laws, family)))
             kinds += kind
     assert kinds.count("interior") > len(kinds) / 2
+
+
+K = acceptability._K  # the last doubling exponent inside the cap
+BRACKET_SEED = 61
+BRACKET_RANDOM_CELLS = 200
+
+
+def bracket_tree(gen):
+    """One tree whose level-1 cells reach every exit of the index search
+    under the minvar family, then BRACKET_RANDOM_CELLS seeded random cells.
+
+    The fixed cells are, in order: a floor (0), a cap (inf), the
+    test_capped_bracket cell (bracket [X_MIN * 2**K, X_MAX]), a cell whose
+    first rejected doubling is K, the coin cell of index 1 (k = 30) and the
+    same coin paid out its risk at 1.5 X_MIN (k = 1).  A random cell is paid
+    out its minvar risk at a log-uniform parameter in [1e-8, 1e5], which
+    moves its minvar index there where the risk still rises."""
+    cells = [  # conditional probabilities, values, parameter whose risk is paid out
+        ((0.5, 0.5), (-2.0, -1.0), None),
+        ((0.5, 0.5), (1.0, 2.0), None),
+        ((1e-6, 1.0 - 1e-6), (-1.0, 1.0), None),
+        ((2e-6, 1.0 - 2e-6), (-1.0, 1.0), None),
+        ((0.5, 0.5), (3.0, -1.0), None),
+        ((0.5, 0.5), (3.0, -1.0), 1.5 * X_MIN),
+    ]
+    for _ in range(BRACKET_RANDOM_CELLS):
+        n = int(gen.integers(2, 6))
+        cells.append((gen.dirichlet(np.ones(n)), gen.normal(0.0, 1.0, n), 10.0 ** gen.uniform(-8.0, 5.0)))
+    ends = np.cumsum([len(q) for q, _, _ in cells]).tolist()
+    level = tuple(tuple(range(a, b)) for a, b in zip([0] + ends, ends))
+    space = ScenarioSpace(np.concatenate([q for q, _, _ in cells]) / len(cells))
+    filtration = Filtration(((tuple(range(ends[-1])),), level, tuple((i,) for i in range(ends[-1]))))
+    Z = RandomVariable(np.concatenate([np.asarray(z, dtype=float) for _, z, _ in cells]))
+    laws = level_laws(space, filtration, Z, 1)
+    family = minvar_family()
+    cash = [
+        0.0 if x is None else bruteforce._rho_at(laws.support[a:b], laws.F[a:b], family, x)
+        for (_, _, x), a, b in zip(cells, laws.start, laws.stop)
+    ]
+    return space, filtration, RandomVariable(Z.values + np.asarray(cash)[filtration.cell_of_atom(1)])
+
+
+@pytest.fixture(scope="module")
+def bracket_cells():
+    space, filtration, X = bracket_tree(np.random.default_rng(BRACKET_SEED))
+    return space, filtration, X, level_laws(space, filtration, X, 1)
+
+
+def first_rejected_doubling(support, F, family) -> int:
+    """The k of the first doubling X_MIN * 2**k a linear scan rejects (K + 1: none)."""
+    return next(
+        (k for k in range(1, K + 1) if bruteforce._rho_at(support, F, family, X_MIN * 2.0**k) > 0.0),
+        K + 1,
+    )
+
+
+def cell_slices(laws):
+    return [(laws.support[a:b], laws.F[a:b]) for a, b in zip(laws.start, laws.stop)]
+
+
+def test_doubling_grid_ends_inside_the_cap():
+    assert K == 49 and X_MIN * 2.0**K <= X_MAX < X_MIN * 2.0 ** (K + 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_bracket_cells_match_scalar_search(bracket_cells, family):
+    space, filtration, X, laws = bracket_cells
+    got = dcai(space, filtration, X, 1, family()).cell_values
+    assert got.tobytes() == bruteforce.dcai_scalar(space, filtration, X, 1, family()).tobytes()
+    if family is not minvar_family:  # the cells are built to their minvar brackets
+        return
+    ks = [first_rejected_doubling(*cell, family()) for cell in cell_slices(laws)]
+    assert list(map(exit_kind, got[:6])) == ["floor", "cap"] + ["interior"] * 4
+    assert ks[2:6] == [K + 1, K, 30, 1]
+    assert got[2] == 693145.8339663653
+    random_indices = got[6:][(got[6:] > 0.0) & np.isfinite(got[6:])]
+    assert random_indices.min() < 1e-7 and random_indices.max() > 1e4
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_probes_per_cell(bracket_cells, monkeypatch, family):
+    # the exponent bisection costs at most 6 probes over k = 1..49, and the
+    # halving of [X_MIN * 2**(k - 1), X_MIN * 2**k] about k - 1 more
+    _, _, _, laws = bracket_cells
+    family = family()
+    probes = 0
+    rho_at = acceptability._rho_at
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return rho_at(*args)
+
+    monkeypatch.setattr(acceptability, "_rho_at", counted)
+    for support, F in cell_slices(laws):
+        k = first_rejected_doubling(support, F, family)
+        probes = 0
+        index = acceptability._cell_index(support, F, family)
+        if index == 0.0:
+            assert probes == 1
+        elif math.isinf(index):
+            assert probes <= 1 + math.ceil(math.log2(K + 1)) + 1 == 8
+        else:
+            assert probes <= 1 + 6 + k, (k, probes)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)

@@ -91,6 +91,13 @@ class TestFiltration:
         assert filtration.level(1) is filtration.level(1)
         assert not given.atoms.flags.writeable and not given.sizes.flags.writeable
 
+    def test_failed_build_leaves_given_level_writeable(self):
+        # the first level passes, the second covers a different atom set
+        given = Level(np.array([0, 1], dtype=np.int32), np.array([2], dtype=np.int32))
+        with pytest.raises(DomainError, match="^level 1 does not cover the same atom set$"):
+            Filtration([given, [[0]]])
+        assert given.atoms.flags.writeable and given.sizes.flags.writeable
+
     def test_cells_given_as_arrays(self):
         # one atom per cell, and an array cell of two atoms, whose bool() raises
         filtration = Filtration(([np.array([2, 0]), np.array([1])],
