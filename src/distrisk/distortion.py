@@ -11,10 +11,11 @@ Each built-in kind is a :class:`Distortion` subclass that holds its spec
 name ``kind`` (``minvar`` in the spec ``minvar:2``; the CLI grammar and the
 family names read it from there) and its closed form as the pair of hooks
 ``_psi(y)`` and ``_dpsi(z)``.  The base class owns the domain checks,
-the identity member's exact unit slope, the infinite slope at 0 and the
-scalar unwrapping; the members MinVar, MaxVar, MaxMinVar and MinMaxVar of
-the Cherny-Madan families also share their parameter check, label and
-identity at x = 0.
+the identity member's exact unit slope, the infinite slope at 0, the slope
+at 1 (``_dpsi`` there) and the scalar unwrapping; the Cherny-Madan kinds
+MinVar, MaxVar, MaxMinVar and MinMaxVar state their map once, as a static
+``kernel(y, x)`` broadcasting over both, and share their parameter check,
+label and identity at x = 0.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class Distortion:
     A subclass supplies its closed form as two hooks on checked float
     arrays, ``_psi(y)`` for the map and ``_dpsi(z)`` for its right
     derivative; the base checks the domains, returns exact ones for an
-    identity member and unwraps 0-d results.
+    identity member, takes the slope at 1 from ``_dpsi`` and unwraps 0-d results.
     """
 
     #: spec name of a built-in kind (``minvar`` in ``minvar:2``), also its family's name
@@ -77,7 +78,7 @@ class Distortion:
 
     def derivative_at_one_minus(self) -> float:
         """Left limit of the derivative at 1 (the mass the measure puts at 1)."""
-        raise NotImplementedError
+        return 1.0 if self.is_identity() else float(self._dpsi(np.float64(1.0)))
 
     def is_identity(self) -> bool:
         """True when the map is pointwise the identity."""
@@ -92,9 +93,6 @@ class Identity(Distortion):
 
     def _psi(self, y):
         return y
-
-    def derivative_at_one_minus(self) -> float:
-        return 1.0
 
     def is_identity(self) -> bool:
         return True
@@ -119,9 +117,6 @@ class ProportionalHazard(Distortion):
     def _dpsi(self, z):
         return self.gamma * z ** (self.gamma - 1.0)
 
-    def derivative_at_one_minus(self) -> float:
-        return self.gamma
-
     def is_identity(self) -> bool:
         return self.gamma == 1.0
 
@@ -138,8 +133,8 @@ class _Parametric(Distortion):
         self.x = x
         self.label = f"{self.kind}:{x:g}"
 
-    def derivative_at_one_minus(self) -> float:
-        return 1.0 if self.x == 0 else 0.0
+    def _psi(self, y):
+        return self.kernel(y, self.x)
 
     def is_identity(self) -> bool:
         return self.x == 0.0
@@ -151,8 +146,9 @@ class MinVar(_Parametric):
     kind = "minvar"
     infinite_slope_at_zero = False
 
-    def _psi(self, y):
-        return 1.0 - (1.0 - y) ** (self.x + 1.0)
+    @staticmethod
+    def kernel(y, x):
+        return 1.0 - (1.0 - y) ** (x + 1.0)
 
     def _dpsi(self, z):
         return (self.x + 1.0) * (1.0 - z) ** self.x
@@ -163,15 +159,13 @@ class MaxVar(_Parametric):
 
     kind = "maxvar"
 
-    def _psi(self, y):
-        return y ** (1.0 / (self.x + 1.0))
+    @staticmethod
+    def kernel(y, x):
+        return y ** (1.0 / (x + 1.0))
 
     def _dpsi(self, z):
         e = 1.0 / (self.x + 1.0)
         return e * z ** (e - 1.0)
-
-    def derivative_at_one_minus(self) -> float:
-        return 1.0 / (self.x + 1.0)
 
 
 class MaxMinVar(_Parametric):
@@ -179,14 +173,15 @@ class MaxMinVar(_Parametric):
 
     kind = "maxminvar"
 
-    def _psi(self, y):
-        k = self.x + 1.0
-        return (1.0 - (1.0 - y) ** k) ** (1.0 / k)
+    @staticmethod
+    @np.errstate(divide="ignore")  # log1p(-1) = -inf, so psi(1) = 1 exactly
+    def kernel(y, x):
+        # 1 - (1 - y)**k as -expm1(k log1p(-y)), which does not cancel below y = eps
+        k = x + 1.0
+        return (-np.expm1(k * np.log1p(-y))) ** (1.0 / k)
 
     def _dpsi(self, z):
-        k = self.x + 1.0
-        inner = 1.0 - (1.0 - z) ** k
-        return (1.0 / k) * inner ** (1.0 / k - 1.0) * k * (1.0 - z) ** (k - 1.0)
+        return ((1.0 - z) / self._psi(z)) ** self.x
 
 
 class MinMaxVar(_Parametric):
@@ -194,13 +189,14 @@ class MinMaxVar(_Parametric):
 
     kind = "minmaxvar"
 
-    def _psi(self, y):
-        k = self.x + 1.0
+    @staticmethod
+    def kernel(y, x):
+        k = x + 1.0
         return 1.0 - (1.0 - y ** (1.0 / k)) ** k
 
     def _dpsi(self, z):
-        k = self.x + 1.0
-        return (1.0 - z ** (1.0 / k)) ** (k - 1.0) * z ** (1.0 / k - 1.0)
+        e = 1.0 / (self.x + 1.0)
+        return (1.0 - z ** e) ** self.x * z ** (e - 1.0)
 
 
 class PiecewiseLinear(Distortion):
@@ -242,9 +238,6 @@ class PiecewiseLinear(Distortion):
         # segment to the right of z: first knot strictly above z bounds it
         seg = np.searchsorted(self.knots_y, z, side="right") - 1
         return self.slopes[np.clip(seg, 0, self.slopes.size - 1)]
-
-    def derivative_at_one_minus(self) -> float:
-        return float(self.slopes[-1])
 
     def is_identity(self) -> bool:
         return bool(np.allclose(self.knots_v, self.knots_y, rtol=0, atol=0))

@@ -1,6 +1,9 @@
 """Distortion evaluation, the measure correspondence, and regularity checks."""
 
 import math
+import sys
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from distrisk import (
 from distrisk.distortion import FAMILY_NOT_INCREASING, MeasureDescriptor, PiecewiseLinear
 
 from conftest import random_measure
+from test_distortion_golden import YS
 
 
 class TestEvaluation:
@@ -132,6 +136,46 @@ class TestRightDerivative:
     def test_rejects_one(self):
         with pytest.raises(DomainError):
             MinVar(1).right_derivative(1.0)
+
+    def test_slope_at_one_read_off_the_slope(self):
+        assert Quadratic().derivative_at_one_minus() == 0.5
+
+
+class Quadratic(Distortion):
+    """psi(y) = y (3 - y) / 2: a kind that states only its map and its slope."""
+
+    def _psi(self, y):
+        return y * (3.0 - y) / 2.0
+
+    def _dpsi(self, z):
+        return (3.0 - 2.0 * z) / 2.0
+
+
+def maxminvar_reference(y: float, x: float) -> tuple[Decimal, Decimal]:
+    """psi(y) and psi'(y) of MaxMinVar(x) to 700 digits (1 - 1e-300 stays below 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 700
+        y, x = Decimal(y), Decimal(x)
+        k = x + 1
+        psi = (1 - (k * (1 - y).ln()).exp()) ** (1 / k)
+        return psi, ((1 - y) / psi) ** x
+
+
+class TestMaxMinVarAccuracy:
+    X_GRID = [1e-9, 0.1, 0.5, 1.0, 2.0, 7.3, 10.0, 50.0]
+    Y_GRID = [1e-300, 5e-17, 1e-12, 1e-6, 0.1, 0.3, 0.5, 0.9, 1.0 - 2.0**-53]
+
+    @pytest.mark.parametrize("x", X_GRID)
+    def test_matches_decimal_reference(self, x):
+        psi = MaxMinVar(x)
+        eps = np.finfo(float).eps
+        for y in self.Y_GRID:
+            want, slope = maxminvar_reference(y, x)
+            # the rounding of 1/k is magnified by |ln y| in psi = exp(ln(1 - (1-y)**k) / k)
+            assert abs(Decimal(psi(y)) / want - 1) <= 4 * eps * (1 + abs(math.log(y))), y
+            # at x = 50, y = 1 - 2**-53 the slope 2**-2650 underflows
+            if sys.float_info.min <= slope <= sys.float_info.max:
+                assert abs(Decimal(psi.right_derivative(y)) / slope - 1) <= 1e-12, y
 
 
 class TestPsiFromMeasure:
@@ -236,7 +280,7 @@ class JumpAt(Distortion):
 class TestCheckRegular:
     @pytest.mark.parametrize("psi", [
         ProportionalHazard(0.3), MaxVar(2), MaxMinVar(2), MinMaxVar(2),
-        PiecewiseLinear([0, 1e-4, 1], [0, 0.9, 1]),
+        PiecewiseLinear([0, 1e-4, 1], [0, 0.9, 1]), MaxMinVar(10), MaxMinVar(50),
     ], ids=lambda psi: psi.label)
     def test_steep_concave_maps_pass(self, psi):
         # each rises by more than 100 grid steps' worth on the first uniform
@@ -283,3 +327,20 @@ class TestFamilies:
         bad = DistortionFamily(lambda x: MinVar(1.0 / x), name="inverted")
         report = check_family_monotone(bad)
         assert FAMILY_NOT_INCREASING in report.failures
+
+
+class TestKernel:
+    @pytest.mark.parametrize("cls", [MinVar, MaxVar, MaxMinVar, MinMaxVar],
+                             ids=lambda cls: cls.kind)
+    def test_array_parameters_match_each_member(self, cls):
+        # x = 1.0 is left out: there the member's scalar exponent 2.0 or 0.5 is
+        # rewritten by numpy as square or sqrt, which can differ from the power
+        # an array of exponents takes in the last bit
+        gen = np.random.default_rng(13)
+        xs = np.concatenate(([0.0, 1e-300], 10.0 ** gen.uniform(-9.0, 6.0, 200)))
+        y = np.concatenate((YS, gen.uniform(0.0, 1.0, 300)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = cls.kernel(y[None, :], xs[:, None])
+            rows = np.array([cls(x)(y) for x in xs])
+        assert np.array_equal(table.view(np.int64), rows.view(np.int64))
