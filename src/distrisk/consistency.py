@@ -59,6 +59,9 @@ class ConsistencyReport:
     margins: tuple[float, ...]
     witness: dict | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "margins", tuple(map(float, self.margins)))
+
     @property
     def holds(self) -> bool:
         return self.witness is None
@@ -108,6 +111,18 @@ class Counterexample:
         object.__setattr__(self, "max_error", max_error)
 
 
+def _lowest(s, margins, slack: float, witness) -> ConsistencyReport:
+    """Violated at the lowest margin (the first of ties) unless it is at or
+    above -slack; witness(k) names cell k."""
+    k = int(np.argmin(margins))
+    return ConsistencyReport(s, margins, None if margins[k] >= -slack else witness(k))
+
+
+def _first(s, margins, bad: np.ndarray, witness) -> ConsistencyReport:
+    """Violated at the first t-cell flagged bad; witness(k) names cell k."""
+    return ConsistencyReport(s, margins, witness(int(np.argmax(bad))) if bad.any() else None)
+
+
 def check_submartingale(
     space, filtration, X, psi: Distortion, t: int, s: int
 ) -> ConsistencyReport:
@@ -119,18 +134,16 @@ def check_submartingale(
     """
     if t > s:
         raise DomainError("need t <= s")
-    rho_t = choquet(space, filtration, X, t, psi)
-    rho_s = choquet(space, filtration, X, s, psi)
+    rho_t = choquet(space, filtration, X, t, psi).cell_values
+    rho_s = choquet(space, filtration, X, s, psi).cell_values
     mass = level_laws(space, filtration, X, s).mass  # kept by choquet above
     parent = filtration.parent(t, s)
-    n = rho_t.cell_values.size
-    later = np.bincount(parent, weights=rho_s.cell_values * mass, minlength=n)
-    margins = rho_t.cell_values - later / np.bincount(parent, weights=mass, minlength=n)
-    bad = int(np.argmin(margins))
-    witness = None
-    if not margins[bad] >= -SUBMARTINGALE_TOL:
-        witness = {"cell": bad, "margin": float(margins[bad])}
-    return ConsistencyReport(s, tuple(map(float, margins)), witness)
+    later = np.bincount(parent, weights=rho_s * mass, minlength=rho_t.size)
+    margins = rho_t - later / np.bincount(parent, weights=mass, minlength=rho_t.size)
+    return _lowest(s, margins, SUBMARTINGALE_TOL, lambda k: {
+        "cell": k,
+        "margin": float(margins[k]),
+    })
 
 
 def check_super_strict_failure(
@@ -150,11 +163,11 @@ def check_super_strict_failure(
     laws = level_laws(space, filtration, X, t)  # kept by choquet above
     constant = laws.stop - laws.start == 1  # one merged point
     ok = np.where(constant, np.abs(margins) <= LEQ_TOL, margins > LEQ_TOL)
-    witness = None
-    if not np.all(ok):
-        k = int(np.argmin(ok))
-        witness = {"cell": k, "margin": float(margins[k]), "constant": bool(constant[k])}
-    return ConsistencyReport(None, tuple(map(float, margins)), witness)
+    return _first(None, margins, ~ok, lambda k: {
+        "cell": k,
+        "margin": float(margins[k]),
+        "constant": bool(constant[k]),
+    })
 
 
 def check_weak_acceptance(
@@ -171,16 +184,11 @@ def check_weak_acceptance(
     rho_s = choquet(space, filtration, X, s, psi).cell_values
     parent = filtration.parent(t, s)
     rejected_children = np.bincount(parent, weights=rho_s > LEQ_TOL, minlength=rho_t.size)
-    bad = (rejected_children == 0) & (rho_t > LEQ_TOL)
-    witness = None
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        witness = {
-            "cell": k,
-            "rho_t": float(rho_t[k]),
-            "rho_s_children": [float(v) for v in rho_s[parent == k]],
-        }
-    return ConsistencyReport(s, tuple(map(float, rho_t)), witness)
+    return _first(s, rho_t, (rejected_children == 0) & (rho_t > LEQ_TOL), lambda k: {
+        "cell": k,
+        "rho_t": float(rho_t[k]),
+        "rho_s_children": [float(v) for v in rho_s[parent == k]],
+    })
 
 
 def check_weak_rejection_dcai(
@@ -202,17 +210,12 @@ def check_weak_rejection_dcai(
     np.maximum.at(top_child, parent, a_s)
     level = a_s + INDEX_TOL
     bad = np.isfinite(a_s) & (top_child[parent] <= level) & (a_t[parent] > level)
-    witness = None
-    if np.any(bad):
-        k = int(parent[bad].min())
-        j = int(np.argmax(bad & (parent == k)))
-        witness = {
-            "cell": k,
-            "level": float(a_s[j]),
-            "index_t": float(a_t[k]),
-            "index_s_children": [float(v) for v in a_s[parent == k]],
-        }
-    return ConsistencyReport(s, tuple(map(float, a_t)), witness)
+    return _first(s, a_t, np.bincount(parent[bad], minlength=a_t.size) > 0, lambda k: {
+        "cell": k,
+        "level": float(a_s[np.argmax(bad & (parent == k))]),
+        "index_t": float(a_t[k]),
+        "index_s_children": [float(v) for v in a_s[parent == k]],
+    })
 
 
 def middle_rejection_probe(
@@ -237,15 +240,11 @@ def middle_rejection_probe(
     )
     rho_t_y = _distorted(paid_out, psi)
     margins = rho_t_x - rho_t_y
-    bad = int(np.argmin(margins))
-    witness = None
-    if margins[bad] < -LEQ_TOL:
-        witness = {
-            "cell": bad,
-            "rho_t_X": float(rho_t_x[bad]),
-            "rho_t_Y": float(rho_t_y[bad]),
-        }
-    return ConsistencyReport(s, tuple(map(float, margins)), witness)
+    return _lowest(s, margins, LEQ_TOL, lambda k: {
+        "cell": k,
+        "rho_t_X": float(rho_t_x[k]),
+        "rho_t_Y": float(rho_t_y[k]),
+    })
 
 
 def build_nonmiddle_example() -> Counterexample:

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from distrisk import (
+    ConsistencyReport,
     Counterexample,
+    DistortionFamily,
     DomainError,
     Filtration,
     Identity,
     MinVar,
+    PiecewiseLinear,
     ProportionalHazard,
     RandomVariable,
     ScenarioSpace,
@@ -35,6 +38,53 @@ from conftest import random_measure, random_payoff, random_regular_distortion, r
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+# each two-time checker with an argument whose evaluation raises its own
+# message (a convex distortion, a family decreasing in its parameter) and the
+# message of its time rule
+CONVEX = PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])
+UNEVALUABLE = [
+    pytest.param(check_submartingale, CONVEX, "need t <= s", id="submartingale"),
+    pytest.param(check_weak_acceptance, CONVEX, "need t < s", id="weak_acceptance"),
+    pytest.param(middle_rejection_probe, CONVEX, "need t < s", id="middle_rejection"),
+    pytest.param(check_weak_rejection_dcai, DistortionFamily(lambda x: MinVar(1.0 / x)),
+                 "need t < s", id="dcai_weak_rejection"),
+]
+
+
+class TestTimeRule:
+    @pytest.mark.parametrize("checker, bad_param, message", UNEVALUABLE)
+    def test_later_t_rejected_before_evaluation(self, checker, bad_param, message):
+        ce = build_nonmiddle_example()
+        with pytest.raises(DomainError) as info:
+            checker(ce.space, ce.filtration, ce.X, bad_param, 1, 2)
+        assert str(info.value) != message  # the argument alone fails
+        with pytest.raises(DomainError) as info:
+            checker(ce.space, ce.filtration, ce.X, bad_param, 2, 1)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("checker, bad_param, message", UNEVALUABLE)
+    def test_equal_times(self, checker, bad_param, message):
+        ce = build_nonmiddle_example()
+        if checker is check_submartingale:
+            rep = checker(ce.space, ce.filtration, ce.X, ce.psi, 1, 1)
+            assert rep.holds
+            assert rep.margins == (0.0, 0.0)
+        else:
+            with pytest.raises(DomainError) as info:
+                checker(ce.space, ce.filtration, ce.X, bad_param, 1, 1)
+            assert str(info.value) == message
+
+
+class TestConsistencyReport:
+    def test_margins_stored_as_python_floats(self):
+        rep = ConsistencyReport(1, np.array([0.5, -0.0]))
+        assert isinstance(rep.margins, tuple)
+        assert [type(m) for m in rep.margins] == [float, float]
+        assert rep.margins == (0.5, 0.0)
+        assert math.copysign(1.0, rep.margins[1]) == -1.0
+        assert rep == ConsistencyReport(1, (0.5, -0.0))
 
 
 class TestSubmartingale:
