@@ -4,6 +4,9 @@ The index of a payoff at a cell is the largest family parameter whose risk is
 still non-positive.  Because the risk is monotone in the parameter the level
 set is an interval: a bisection over the exponent k of the doubling grid
 X_MIN * 2**k brackets its boundary, and a bisection of the bracket finds it.
+Each probe is the cell's :func:`~distrisk.risk.choquet` risk under one member,
+formed by the same sum (:func:`distrisk.risk._choquet`), so an index is the
+edge of the acceptance that ``choquet`` reports.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .distortion import (
     DistortionFamily,
     check_family_monotone,
 )
+from .risk import _choquet
 from .space import (
     AdaptedValue,
     DomainError,
@@ -29,18 +33,6 @@ from .space import (
     level_laws,
 )
 from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
-
-
-def _rho_at(support, F, family, x: float) -> float:
-    """Risk of one cell's law (sorted support, cumulative weights F) under
-    the family member x."""
-    # np.diff(prepend=0.0)'s increments, bit for bit; numpy sums them, not a thread-timed BLAS dot
-    psi_F = np.asarray(family(x)(F), dtype=float)
-    terms = np.empty_like(psi_F)
-    terms[0] = psi_F[0]
-    np.subtract(psi_F[1:], psi_F[:-1], out=terms[1:])
-    terms *= support
-    return -float(np.add.reduce(terms))
 
 
 def _halve(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -55,6 +47,8 @@ def _halve(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
+_START = np.zeros(1, dtype=np.intp)  # a cell slice's one start, for _choquet
+
 _K = 0  # the last exponent k of the doubling grid X_MIN * 2**k inside the cap X_MAX: 49
 while X_MIN * 2.0 ** (_K + 1) <= X_MAX:
     _K += 1
@@ -62,7 +56,7 @@ while X_MIN * 2.0 ** (_K + 1) <= X_MAX:
 
 def _cell_index(support, F, family: DistortionFamily) -> float:
     def rho(x: float) -> float:
-        return _rho_at(support, F, family, x)
+        return float(_choquet(support, np.asarray(family(x)(F), dtype=float), _START)[0])
     if rho(X_MIN) > 0.0:
         return 0.0
     # the first rejected doubling X_MIN * 2**k, k in 1.._K, by bisection over k (_K + 1: none)
@@ -89,11 +83,13 @@ def dcai(
     Each cell's index is 0 when even the smallest probe parameter ``X_MIN``
     is rejected, math.inf when the risk stays non-positive up to the bracket
     cap ``X_MAX``, and otherwise the bisected boundary of the acceptance
-    interval to width ``BISECT_TOL``.  Its bracket is the first rejected
-    doubling ``X_MIN * 2**k`` (k <= 49), found in at most 6 probes by
-    bisecting over k: a cell costs 1 probe at the floor, at most 8 at the cap
-    and at most 7 + k inside (a linear doubling scan about 2k), with that
-    scan's exact indices whenever the risk's sign is monotone in the parameter.
+    interval to width ``BISECT_TOL``.  Each probe's risk is the cell's
+    :func:`~distrisk.risk.choquet` risk under that member, bit for bit.  The
+    bracket is the first rejected doubling ``X_MIN * 2**k`` (k <= 49), found
+    in at most 6 probes by bisecting over k: a cell costs 1 probe at the
+    floor, at most 8 at the cap and at most 7 + k inside (a linear doubling
+    scan about 2k), with that scan's exact indices whenever the risk's sign is
+    monotone in the parameter.
 
     Only :func:`check_family_monotone`'s monotonicity failure rejects the
     family (DomainError), not a right-continuity failure alone; a family

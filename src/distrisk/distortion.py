@@ -200,7 +200,8 @@ class MinMaxVar(_Parametric):
 
 
 class PiecewiseLinear(Distortion):
-    """Knot-interpolated distortion; concavity is recorded, not assumed.
+    """Knot-interpolated distortion; concavity is recorded as ``regular``,
+    not assumed.
 
     Non-concave instances are accepted (they are needed as defect fixtures)
     but the risk evaluators reject them.
@@ -224,12 +225,8 @@ class PiecewiseLinear(Distortion):
         self.knots_y = y
         self.knots_v = v
         self.slopes = np.diff(v) / np.diff(y)
-        self.concave = bool(np.all(np.diff(self.slopes) <= SHAPE_TOL))
+        self.regular = bool(np.all(np.diff(self.slopes) <= SHAPE_TOL))
         self.label = label
-
-    @property
-    def regular(self) -> bool:  # type: ignore[override]
-        return self.concave
 
     def _psi(self, y):
         return np.interp(y, self.knots_y, self.knots_v)
@@ -313,17 +310,15 @@ def measure_from_distortion(psi: Distortion) -> DistortionMeasure | MeasureDescr
     """
     if psi.is_identity():
         return dirac(1.0)
+    if not psi.regular:
+        raise DomainError("measure extraction needs a concave distortion")
     if isinstance(psi, PiecewiseLinear):
-        if not psi.concave:
-            raise DomainError("measure extraction needs a concave distortion")
         slopes = psi.slopes
         # the slope drop at each inner knot times the knot, then the last slope at 1
         support = np.concatenate((psi.knots_y[1:-1], (1.0,)))
         weights = np.concatenate((support[:-1] * (slopes[:-1] - slopes[1:]), slopes[-1:]))
         keep = weights > 0.0
         return DistortionMeasure(support[keep], weights[keep])
-    if not psi.regular:
-        raise DomainError("measure extraction needs a concave distortion")
 
     def cdf(y: float) -> float:
         y = float(y)
@@ -338,7 +333,7 @@ def measure_from_distortion(psi: Distortion) -> DistortionMeasure | MeasureDescr
 
 def m_mu(mu: DistortionMeasure) -> float:
     """Half the mean of mu; equals the slope-weighted first moment of psi_mu."""
-    return 0.5 * float(mu.support @ mu.weights)
+    return 0.5 * mu.mean()
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Conditional risk evaluators on a finite filtered space.
 
 Everything here is exact on finite supports: the distorted-expectation
-evaluator is a sorted cumulative sum, quantiles scan CDF breakpoints, and the
-tail-mean integrals are step integrals with closed-form pieces.  All
-operations return one value per information cell at the requested time; each
-reads the payoff's laws on the whole level (:class:`~distrisk.space.LevelLaws`)
-and evaluates every cell in the same few array expressions.  A payoff is
-sorted by value once, on first use, and keeps the laws of every level it was
-evaluated on, for the space and filtration of its last evaluation
-(:func:`~distrisk.space.level_laws`), so evaluating it again on that tree, at
-any level seen before, builds nothing; another space or filtration replaces
-the kept laws, so a payoff holds at most one tree's levels, 36 bytes per
-merged point and 24 per cell on each.
+evaluator is a sorted cumulative sum, the very sum of each ``dcai`` probe,
+quantiles scan CDF breakpoints, and the tail-mean integrals are step
+integrals with closed-form pieces.  All operations return one value per
+information cell at the requested time; each reads the payoff's laws on the
+whole level (:class:`~distrisk.space.LevelLaws`) and evaluates every cell in
+the same few array expressions.  A payoff is sorted by value once, on first
+use, and keeps the laws of every level it was evaluated on, for the space and
+filtration of its last evaluation (:func:`~distrisk.space.level_laws`), so
+evaluating it again on that tree, at any level seen before, builds nothing;
+another space or filtration replaces the kept laws, so a payoff holds at most
+one tree's levels, 36 bytes per merged point and 24 per cell on each.
 """
 
 from __future__ import annotations
@@ -46,8 +46,18 @@ def choquet(
 
 
 def _distorted(laws: LevelLaws, psi: Distortion) -> np.ndarray:
-    psi_F = np.asarray(psi(laws.F), dtype=float)
-    return -laws.sum(laws.support * (psi_F - laws.shift(psi_F)))
+    return _choquet(laws.support, np.asarray(psi(laws.F), dtype=float), laws.start)
+
+
+def _choquet(support: np.ndarray, psi_F: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Risk of each cell whose points begin at ``start``: minus the per-cell
+    np.add.reduceat of the support times psi(F)'s increments, restarting at
+    each start; a whole level for :func:`choquet`, one cell for a dcai probe."""
+    terms = np.empty_like(psi_F)
+    np.subtract(psi_F[1:], psi_F[:-1], out=terms[1:])
+    terms[start] = psi_F[start]
+    terms *= support
+    return -np.add.reduceat(terms, start)
 
 
 def _check_alpha_open(alpha: float) -> float:

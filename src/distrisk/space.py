@@ -396,17 +396,12 @@ class LevelLaws:
                 self.F[rows] = np.cumsum(self.weights[rows], axis=1)
         np.minimum(self.F, 1.0, out=self.F)  # round-off may pass 1 before the last point
         self.F[self.stop - 1] = 1.0
-        self.lo = self.shift(self.F)
+        self.lo = np.empty_like(self.F)
+        self.lo[1:] = self.F[:-1]
+        self.lo[self.start] = 0.0
         for array in (self.cell, self.support, self.weights, self.F, self.lo,
                       self.mass, self.start, self.stop):
             array.setflags(write=False)
-
-    def shift(self, a: np.ndarray) -> np.ndarray:
-        """Pointwise values moved one point later within each cell, 0 first."""
-        out = np.empty_like(a)
-        out[1:] = a[:-1]
-        out[self.start] = 0.0
-        return out
 
     def sum(self, a: np.ndarray) -> np.ndarray:
         """Per-cell sum of a pointwise array."""

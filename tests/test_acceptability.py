@@ -253,14 +253,14 @@ def test_probes_per_cell(bracket_cells, monkeypatch, family):
     _, _, _, laws = bracket_cells
     family = family()
     probes = 0
-    rho_at = acceptability._rho_at
+    choquet_sum = acceptability._choquet
 
     def counted(*args):
         nonlocal probes
         probes += 1
-        return rho_at(*args)
+        return choquet_sum(*args)
 
-    monkeypatch.setattr(acceptability, "_rho_at", counted)
+    monkeypatch.setattr(acceptability, "_choquet", counted)
     for support, F in cell_slices(laws):
         k = first_rejected_doubling(support, F, family)
         probes = 0
@@ -271,6 +271,82 @@ def test_probes_per_cell(bracket_cells, monkeypatch, family):
             assert probes <= 1 + math.ceil(math.log2(K + 1)) + 1 == 8
         else:
             assert probes <= 1 + 6 + k, (k, probes)
+
+
+PROBE_XS = (1e-3, 0.37, 2.0, 55.5)  # family parameters at which the one sum is compared
+MIN_CELL_POINTS = 3  # merged points of a cell whose probe sum is compared
+TIE_SEED = 67
+
+
+def tie_tree(gen):
+    """A 48-atom tree of 4 and then 12 cells whose integer payoffs tie within
+    cells and mostly have a positive mean, so most indices are interior."""
+    n = 48
+    order = gen.permutation(n).tolist()
+    levels = [[order], [order[12 * i:12 * i + 12] for i in range(4)],
+              [order[4 * i:4 * i + 4] for i in range(12)], [[i] for i in range(n)]]
+    probs = gen.random(n) + 0.1
+    X = RandomVariable(gen.integers(-2, 5, size=n).astype(float))
+    return ScenarioSpace(probs / probs.sum()), Filtration(levels), X
+
+
+@pytest.fixture(scope="module")
+def sum_trees(fixture_pool):
+    return fixture_pool + [tie_tree(np.random.default_rng(TIE_SEED))]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_probe_sum_is_the_choquet_risk(sum_trees, family):
+    # a probe's risk on one cell slice is the cell's choquet risk under ==,
+    # not merely within round-off: both are the one sum risk._choquet
+    family = family()
+    compared = 0
+    for space, filtration, X in sum_trees:
+        for t in range(filtration.horizon + 1):
+            laws = level_laws(space, filtration, X, t)
+            cells = np.flatnonzero(laws.stop - laws.start >= MIN_CELL_POINTS)
+            if not cells.size:
+                continue
+            for x in PROBE_XS:
+                want = choquet(space, filtration, X, t, family(x)).cell_values
+                for k in cells:
+                    F = laws.F[laws.start[k]:laws.stop[k]]
+                    psi_F = np.asarray(family(x)(F), dtype=float)
+                    support = laws.support[laws.start[k]:laws.stop[k]]
+                    got = acceptability._choquet(support, psi_F, acceptability._START)
+                    assert got[0] == want[k], (t, k, x)
+                    compared += 1
+    assert compared > 2000
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
+def test_probes_read_the_choquet_risk(monkeypatch, family):
+    # every probe dcai makes on the tie tree, at the parameters its search
+    # picks, decides its sign on the cell's choquet risk at that parameter
+    space, filtration, X = tie_tree(np.random.default_rng(TIE_SEED))
+    family = family()
+    xs, risks = [], []
+    choquet_sum = acceptability._choquet
+
+    def recorded(*args):
+        out = choquet_sum(*args)
+        risks.append(out[0])
+        return out
+
+    monkeypatch.setattr(acceptability, "_choquet", recorded)
+    probing = DistortionFamily(lambda x: xs.append(x) or family(x), name=family.name)
+    compared = 0
+    for t in (0, 1, 2):
+        laws = level_laws(space, filtration, X, t)
+        for k, (a, b) in enumerate(zip(laws.start, laws.stop)):
+            xs.clear()
+            risks.clear()
+            acceptability._cell_index(laws.support[a:b], laws.F[a:b], probing)
+            assert len(xs) == len(risks)
+            for x, risk in zip(xs, risks):
+                assert risk == choquet(space, filtration, X, t, family(x)).cell_values[k]
+            compared += len(xs)
+    assert compared > 200
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f().name)
