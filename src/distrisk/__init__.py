@@ -27,7 +27,6 @@ from .distortion import (
     PiecewiseLinear,
     ProportionalHazard,
     check_family_monotone,
-    check_regular,
     dirac,
     m_mu,
     maxminvar_family,
@@ -49,14 +48,13 @@ from .risk import (
     quantile_upper,
     var,
 )
-from .acceptability import dcai, dcai_axiom_check
+from .acceptability import dcai
 from .consistency import (
     ConsistencyReport,
     Counterexample,
     build_nonmiddle_example,
     build_weakacc_continuous,
     build_weakacc_pprime,
-    check_nonweak1_inequality,
     check_submartingale,
     check_super_strict_failure,
     check_weak_acceptance,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .distortion import (
     FAMILY_NOT_INCREASING,
-    CheckReport,
     DistortionFamily,
     check_family_monotone,
 )
@@ -32,7 +31,7 @@ from .space import (
     conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
     level_laws,
 )
-from .tolerance import BISECT_TOL, INDEX_TOL, X_MAX, X_MIN
+from .tolerance import BISECT_TOL, X_MAX, X_MIN
 
 
 def _halve(below, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -102,51 +101,3 @@ def dcai(
         _cell_index(laws.support[a:b], laws.F[a:b], family)
         for a, b in zip(laws.start, laws.stop)
     ])
-
-
-def dcai_axiom_check(
-    space: ScenarioSpace,
-    filtration: Filtration,
-    X: RandomVariable,
-    Y: RandomVariable,
-    t: int,
-    family: DistortionFamily,
-) -> CheckReport:
-    """Spot-check the index axioms on a concrete pair of payoffs.
-
-    Monotonicity is checked only when X <= Y pointwise; scaling uses a fixed
-    positive factor per cell; locality restricts the payoff to one cell;
-    quasi-concavity probes mixtures of X and Y on a small weight grid.
-
-    Indices lie in [0, inf]: a <= b + INDEX_TOL orders them (inf is above
-    every finite index and at most inf), and two are equal when within
-    INDEX_TOL of each other or both inf.
-    """
-    def index(Z: RandomVariable) -> np.ndarray:
-        return dcai(space, filtration, Z, t, family).cell_values
-
-    def at_most(a, b) -> bool:
-        return bool(np.all(a <= b + INDEX_TOL))
-
-    def same(a, b) -> bool:
-        return bool(np.all(np.isclose(a, b, rtol=0.0, atol=INDEX_TOL)))
-
-    a_x = index(X)
-    a_y = index(Y)
-    monotone_ok = not np.all(X.values <= Y.values) or at_most(a_x, a_y)
-    cell_of = filtration.cell_of_atom(t)
-    beta = 1.0 + 3.0 * (cell_of % 3)  # positive, measurable at time t
-    scale_invariant_ok = same(a_x, index(RandomVariable(beta * X.values)))
-    masked = RandomVariable(np.where(cell_of == 0, X.values, 0.0))
-    local_ok = same(a_x[0], index(masked)[0])
-    mixes = [
-        index(RandomVariable(lam * X.values + (1.0 - lam) * Y.values))
-        for lam in (0.25, 0.5, 0.75)
-    ]
-    quasi_concave_ok = at_most(np.minimum(a_x, a_y), np.min(mixes, axis=0))
-    return CheckReport.of(
-        (monotone_ok, "monotonicity: X <= Y but index decreased"),
-        (scale_invariant_ok, "scale invariance: positive measurable scaling moved the index"),
-        (local_ok, "locality: masking other cells changed the index on cell 0"),
-        (quasi_concave_ok, "quasi-concavity: a mixture fell below both endpoints"),
-    )

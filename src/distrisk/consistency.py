@@ -322,24 +322,6 @@ def is_pprime(mu: DistortionMeasure) -> bool:
     return abs(w1 - (a - 1.0) / a) <= PPRIME_TOL and abs(w2 - 1.0 / a) <= PPRIME_TOL
 
 
-@dataclass(frozen=True)
-class DichotomyReport:
-    value: float
-    on_boundary: bool
-    verdict_ok: bool
-
-
-def check_nonweak1_inequality(mu: DistortionMeasure) -> DichotomyReport:
-    """Sign of psi_mu(m_mu) + m_mu - 1: zero exactly on the boundary family,
-    strictly negative off it."""
-    psi = psi_from_measure(mu)
-    m = m_mu(mu)
-    value = float(psi(m)) + m - 1.0
-    boundary = is_pprime(mu)
-    ok = abs(value) <= LEQ_TOL if boundary else value < -LEQ_TOL
-    return DichotomyReport(value, boundary, ok)
-
-
 def build_weakacc_continuous(mu: DistortionMeasure, n_atoms: int) -> Counterexample:
     """Discretized uniform tree where weak acceptance fails for psi_mu.
 

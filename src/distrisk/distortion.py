@@ -28,9 +28,7 @@ import numpy as np
 
 from .space import DiscreteDistribution, DomainError
 from .tolerance import (
-    CONTINUITY_GRID_RATIO,
     PROBE_OFFSET,
-    REGULARITY_GRID_STEP,
     RIGHT_CONTINUITY_TOL,
     SHAPE_TOL,
 )
@@ -350,37 +348,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def check_regular(psi: Distortion) -> CheckReport:
-    """Grid-based regularity verdicts: boundaries, monotone, concave,
-    continuity proxy, and strict domination of the diagonal for non-identity
-    maps.
-
-    The continuity proxy bounds every step of psi by ``100 *
-    REGULARITY_GRID_STEP`` on the uniform grid merged with the geometric grid
-    ``CONTINUITY_GRID_RATIO ** k`` down to the smallest normal double, so a
-    concave map that rises steeply but continuously from 0 passes and a jump
-    anywhere, at 0 included, fails."""
-    grid = np.arange(0.0, 1.0 + REGULARITY_GRID_STEP / 2, REGULARITY_GRID_STEP)
-    grid[-1] = 1.0
-    vals = np.asarray(psi(grid), dtype=float)
-    mid = psi((grid[:-2] + grid[2:]) / 2.0)
-    k = np.arange(int(np.log(np.finfo(float).tiny) / np.log(CONTINUITY_GRID_RATIO)) + 1)
-    fine = np.union1d(grid, CONTINUITY_GRID_RATIO ** k)
-    steps = np.abs(np.diff(np.asarray(psi(fine), dtype=float)))
-    inner = grid[1:-1]
-    identity = psi.is_identity() or np.max(np.abs(vals - grid)) == 0.0
-    return CheckReport.of(
-        (vals[0] == 0.0 and vals[-1] == 1.0, "boundary: psi(0) != 0 or psi(1) != 1"),
-        (np.all(np.diff(vals) >= -SHAPE_TOL), "monotone: decreasing step on grid"),
-        (np.all(mid >= (vals[:-2] + vals[2:]) / 2.0 - SHAPE_TOL),
-         "concave: midpoint test failed on grid"),
-        (np.max(steps) <= 100.0 * REGULARITY_GRID_STEP,
-         "continuous: grid jump exceeds proxy bound"),
-        (identity or np.all(psi(inner) > inner),
-         "domination: psi(y) <= y at an interior grid point"),
-    )
 
 
 @dataclass(frozen=True)

@@ -323,14 +323,12 @@ def _merge_ties(group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.nd
 
     A stable sort of the group ids along the value order kept on ``X`` keeps
     each group's items in value order, ties in item order: the same
-    permutation as a two-key sort by (group, value).  Up to 65,536 groups the
-    ids are narrowed to uint16, which numpy sorts by radix."""
+    permutation as a two-key sort by (group, value).  The ids are sorted 16
+    bits at a time, low bits first, as uint16, which numpy sorts by radix: no
+    pass for one group, one up to 65,536 groups."""
     order = X.value_order
-    if n_groups > 1:
-        ids = group[order]
-        if n_groups <= 1 << 16:
-            ids = ids.astype(np.uint16)
-        order = order[np.argsort(ids, kind="stable")]
+    for shift in range(0, (n_groups - 1).bit_length(), 16):
+        order = order[np.argsort((group[order] >> shift).astype(np.uint16), kind="stable")]
     cell = group[order]
     x = X.values[order]
     new = np.ones(x.size, dtype=bool)
@@ -385,8 +383,9 @@ class LevelLaws:
         self.stop = np.cumsum(counts)
         self.start = self.stop - counts
         self.F = np.empty_like(self.weights)
-        for size in np.flatnonzero(np.bincount(counts)):
-            cells = np.flatnonzero(counts == size)
+        by_size = np.argsort(counts, kind="stable")  # each size's cells in cell order
+        for cells in np.split(by_size, np.flatnonzero(np.diff(counts[by_size])) + 1):
+            size = counts[cells[0]]
             if cells[-1] - cells[0] + 1 == cells.size:
                 a, b = self.start[cells[0]], self.stop[cells[-1]]
                 np.cumsum(self.weights[a:b].reshape(-1, size), axis=1,

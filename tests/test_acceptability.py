@@ -17,7 +17,6 @@ from distrisk import (
     check_weak_rejection_dcai,
     choquet,
     dcai,
-    dcai_axiom_check,
     maxminvar_family,
     maxvar_family,
     minmaxvar_family,
@@ -29,6 +28,7 @@ from distrisk.tolerance import INDEX_TOL, X_MAX, X_MIN
 
 import bruteforce
 from conftest import random_payoff, random_tree
+from premises import dcai_axiom_check
 
 
 def coin_tree():

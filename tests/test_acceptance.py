@@ -27,7 +27,6 @@ from distrisk import (
     build_nonmiddle_example,
     build_weakacc_continuous,
     build_weakacc_pprime,
-    check_nonweak1_inequality,
     check_submartingale,
     check_super_strict_failure,
     check_weak_acceptance,
@@ -54,6 +53,7 @@ from conftest import (
     random_regular_distortion,
     random_tree,
 )
+from premises import check_nonweak1_inequality
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

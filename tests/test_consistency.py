@@ -20,7 +20,6 @@ from distrisk import (
     build_nonmiddle_example,
     build_weakacc_continuous,
     build_weakacc_pprime,
-    check_nonweak1_inequality,
     check_submartingale,
     check_super_strict_failure,
     check_weak_acceptance,
@@ -35,6 +34,7 @@ from distrisk import acceptability
 from distrisk.consistency import is_pprime
 
 from conftest import random_measure, random_payoff, random_regular_distortion, random_tree
+from premises import check_nonweak1_inequality
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -21,7 +21,6 @@ from distrisk import (
     MinVar,
     ProportionalHazard,
     check_family_monotone,
-    check_regular,
     dirac,
     m_mu,
     maxvar_family,
@@ -33,6 +32,7 @@ from distrisk import (
 from distrisk.distortion import FAMILY_NOT_INCREASING, MeasureDescriptor, PiecewiseLinear
 
 from conftest import random_measure
+from premises import check_regular
 from test_distortion_golden import YS
 
 

@@ -96,6 +96,22 @@ def tie_heavy_tree():
     return space, filtration, X
 
 
+def sized_tree(gen):
+    """A root and one level of 500 cells listing their atoms in a shuffled
+    order: 300 cells of distinct sizes from 1 to 320 and 200 of sizes 1 to
+    4, shuffled together, so the cells of one size mostly sit apart; the
+    payoff is rounded to 1e-4, so a few atoms merge."""
+    sizes = gen.permutation(np.concatenate([
+        gen.choice(np.arange(1, 321), 300, replace=False), gen.integers(1, 5, 200)
+    ]))
+    n = int(sizes.sum())
+    p = gen.random(n) + 0.5
+    cells = np.split(gen.permutation(n), np.cumsum(sizes)[:-1])
+    filtration = Filtration(((tuple(range(n)),), [cell.tolist() for cell in cells]))
+    X = RandomVariable(np.round(gen.normal(0.0, 1.0, n), 4))
+    return ScenarioSpace(p / p.sum()), filtration, X
+
+
 def assert_evaluators_agree(space, filtration, X, psi, mu):
     for t in range(filtration.horizon + 1):
         cell_laws = bruteforce.laws(space, filtration, X, t)
@@ -150,7 +166,7 @@ class TestEvaluatorsMatchPerCellPath:
 
     def test_dcai_matches_per_cell_bisection(self, fixture_pool):
         family = minvar_family()
-        trees = list(fixture_pool[:40]) + [tie_heavy_tree()]
+        trees = list(fixture_pool[:40]) + [tie_heavy_tree(), sized_tree(np.random.default_rng(233))]
         for space, filtration, X in trees:
             for t in range(filtration.horizon + 1):
                 got = dcai(space, filtration, X, t, family).cell_values
@@ -209,7 +225,7 @@ class TestLevelLaws:
                  Filtration((((tuple(range(9))),), ((0, 1), (2, 3), (4, 5, 6), (7, 8)))),
                  RandomVariable(gen.random(9)))
         for space, filtration, X in (one_cell, mixed, tie_heavy_tree(),
-                                     paired_tree(300, gen)):
+                                     paired_tree(300, gen), sized_tree(gen)):
             for t in range(filtration.horizon + 1):
                 laws = fresh_laws(space, filtration, X, t)
                 for a, b in zip(laws.start, laws.stop):
@@ -317,9 +333,10 @@ class TestExactOrder:
         assert list(np.signbit(laws.support[zeros])) == [False, True]
         assert not np.signbit(fresh_laws(space, filtration, X, 0).support[0])
 
-    @pytest.mark.parametrize("n_cells", [1 << 16, (1 << 16) + 1])
+    @pytest.mark.parametrize("n_cells", [1 << 16, (1 << 16) + 1, (1 << 17) + 3])
     def test_many_cells(self, n_cells, monkeypatch):
-        # at most 65,536 cells the ids are sorted as uint16, beyond as int32
+        # one uint16 pass over the ids up to 65,536 cells, beyond a second over
+        # their high 16 bits, which take three values at (1 << 17) + 3
         space, filtration, X = paired_tree(n_cells, np.random.default_rng(241))
         assert_same_laws(monkeypatch, space, filtration, X)
 
