@@ -5,8 +5,9 @@ still non-positive.  Because the risk is monotone in the parameter the level
 set is an interval: a bisection over the exponent k of the doubling grid
 X_MIN * 2**k brackets its boundary, and a bisection of the bracket finds it.
 Each probe is the cell's :func:`~distrisk.risk.choquet` risk under one member,
-formed by the same sum (:func:`distrisk.risk._choquet`), so an index is the
-edge of the acceptance that ``choquet`` reports.
+formed by the same sum (:func:`distrisk.risk._choquet`) on the same premise
+(:func:`distrisk.risk._regular`), so an index is the edge of the acceptance
+that ``choquet`` reports.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ import math
 
 import numpy as np
 
-from .distortion import (
-    FAMILY_NOT_INCREASING,
-    DistortionFamily,
-    check_family_monotone,
-)
-from .risk import _choquet
+from .distortion import DistortionFamily, check_family_monotone
+from .risk import _choquet, _regular
 from .space import (
     AdaptedValue,
     DomainError,
@@ -55,7 +52,7 @@ while X_MIN * 2.0 ** (_K + 1) <= X_MAX:
 
 def _cell_index(support, F, family: DistortionFamily) -> float:
     def rho(x: float) -> float:
-        return float(_choquet(support, np.asarray(family(x)(F), dtype=float), _START)[0])
+        return float(_choquet(support, np.asarray(_regular(family(x))(F), dtype=float), _START)[0])
     if rho(X_MIN) > 0.0:
         return 0.0
     # the first rejected doubling X_MIN * 2**k, k in 1.._K, by bisection over k (_K + 1: none)
@@ -86,15 +83,16 @@ def dcai(
     :func:`~distrisk.risk.choquet` risk under that member, bit for bit.  The
     bracket is the first rejected doubling ``X_MIN * 2**k`` (k <= 49), found
     in at most 6 probes by bisecting over k: a cell costs 1 probe at the
-    floor, at most 8 at the cap and at most 7 + k inside (a linear doubling
-    scan about 2k), with that scan's exact indices whenever the risk's sign is
-    monotone in the parameter.
+    floor, at most 8 at the cap and at most 7 + k inside, with a linear
+    doubling scan's exact indices whenever the risk's sign is monotone in the
+    parameter.
 
-    Only :func:`check_family_monotone`'s monotonicity failure rejects the
-    family (DomainError), not a right-continuity failure alone; a family
-    increasing only on that probe grid may bracket unlike a linear scan.
+    A family that fails :func:`check_family_monotone` is rejected
+    (DomainError), and so is a probed member that ``choquet`` refuses; a
+    family increasing only on that probe grid may bracket unlike a linear
+    scan.
     """
-    if FAMILY_NOT_INCREASING in check_family_monotone(family).failures:
+    if not check_family_monotone(family).passed:
         raise DomainError("family is not increasing on the probe grid")
     laws = level_laws(space, filtration, X, t)
     return AdaptedValue(t, [

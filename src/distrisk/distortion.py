@@ -27,11 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .space import DiscreteDistribution, DomainError
-from .tolerance import (
-    PROBE_OFFSET,
-    RIGHT_CONTINUITY_TOL,
-    SHAPE_TOL,
-)
+from .tolerance import SHAPE_TOL
 
 
 def _check_unit(y) -> np.ndarray:
@@ -382,21 +378,8 @@ FAMILY_NOT_INCREASING = "family not increasing in the index on the probe grid"
 
 
 def check_family_monotone(family: DistortionFamily) -> CheckReport:
-    """Probe monotonicity in the index and right-continuity by finite offset."""
+    """Probe that the members increase with the index on a parameter grid."""
     x_grid = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     y_grid = np.linspace(0.0, 1.0, 41)
-
-    def values(offset: float) -> np.ndarray:  # one row per grid parameter
-        return np.array([family(x + offset)(y_grid) for x in x_grid], dtype=float)
-
-    v = values(0.0)
-    # estimate the right limit from two offsets; the linear extrapolation
-    # cancels the O(offset) drift of a smooth family while a genuine jump
-    # survives in full
-    v1, v2 = values(PROBE_OFFSET), values(2.0 * PROBE_OFFSET)
-    jumps = np.max(np.abs(2.0 * v1 - v2 - v), axis=1)
-    return CheckReport.of(
-        (not np.any(v[1:] < v[:-1] - SHAPE_TOL), FAMILY_NOT_INCREASING),
-        (not np.any(jumps > RIGHT_CONTINUITY_TOL),
-         "family fails the finite-offset right-continuity probe"),
-    )
+    v = np.array([family(x)(y_grid) for x in x_grid], dtype=float)  # one row per grid parameter
+    return CheckReport.of((not np.any(v[1:] < v[:-1] - SHAPE_TOL), FAMILY_NOT_INCREASING))

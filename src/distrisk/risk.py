@@ -40,9 +40,16 @@ def choquet(
     psi: Distortion,
 ) -> AdaptedValue:
     """Distortion risk of X given the information at time t, per cell."""
+    psi = _regular(psi)
+    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), psi))
+
+
+def _regular(psi: Distortion) -> Distortion:
+    """psi, once it is known concave and continuous (DomainError otherwise):
+    the premise of :func:`choquet` and of each ``dcai`` probe."""
     if not psi.regular:
         raise DomainError("risk evaluation needs a concave continuous distortion")
-    return AdaptedValue(t, _distorted(level_laws(space, filtration, X, t), psi))
+    return psi
 
 
 def _distorted(laws: LevelLaws, psi: Distortion) -> np.ndarray:

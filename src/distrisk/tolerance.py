@@ -24,5 +24,3 @@ ROOT_BRACKET_SLACK = 1e-15  # psi(1/2) + 1/2 - 1 may be this far below 0 and bra
 ROOT_TOL = 1e-12  # bisection width at which that root is taken
 
 SHAPE_TOL = 1e-12  # slack of every monotone and concave test on a distortion's knots or grid
-PROBE_OFFSET = 1e-6  # parameter offset of a family's right-continuity probe
-RIGHT_CONTINUITY_TOL = 1e-8  # largest extrapolated jump at a probe point that counts as continuous

@@ -6,17 +6,22 @@ regular (fixes 0 and 1, non-decreasing, concave, continuous, above the
 diagonal), the premise under which it generates a dynamic coherent risk
 measure; `dcai_axiom_check` tests the acceptability-index axioms of
 Cherny & Madan (2009) and Bielecki, Cialenco & Zhang (2014) on a pair of
-payoffs; `check_nonweak1_inequality` tests the sign of
-`psi_mu(m_mu) + m_mu - 1`, on which the continuum weak-acceptance
-counterexample rests.  `check_regular` and `dcai_axiom_check` return the
-library's `CheckReport(failures)`, one message per failed test.
+payoffs; `check_family_right_continuous` tests that a family's members
+are right-continuous in the parameter, by finite offsets;
+`check_nonweak1_inequality` tests the sign of `psi_mu(m_mu) + m_mu - 1`, on
+which the continuum weak-acceptance counterexample rests.  `check_regular`,
+`dcai_axiom_check` and `check_family_right_continuous` return the library's
+`CheckReport(failures)`, one message per failed test.
 
-Two grid constants belong to `check_regular` alone:
+Two grid constants belong to `check_regular` alone, and two offsets to
+`check_family_right_continuous`:
 
 | Name | Value | Meaning |
 |---|---|---|
 | `REGULARITY_GRID_STEP` | 1e-4 | grid spacing of `check_regular` |
 | `CONTINUITY_GRID_RATIO` | 0.99 | ratio of `check_regular`'s geometric grid towards 0; a concave `psi` with `psi(0) = 0` has `psi(r y) >= r psi(y)`, so it rises at most `1 - r = 100 * REGULARITY_GRID_STEP` per step |
+| `PROBE_OFFSET` | 1e-6 | parameter offset of `check_family_right_continuous` |
+| `RIGHT_CONTINUITY_TOL` | 1e-8 | largest extrapolated jump that passes that probe |
 
 `check_regular`'s continuity check fails a map when one step of `psi` exceeds
 `100 * REGULARITY_GRID_STEP` on the uniform grid merged with the geometric
@@ -51,6 +56,8 @@ from distrisk.tolerance import INDEX_TOL, LEQ_TOL, SHAPE_TOL
 
 REGULARITY_GRID_STEP = 1e-4
 CONTINUITY_GRID_RATIO = 0.99
+PROBE_OFFSET = 1e-6
+RIGHT_CONTINUITY_TOL = 1e-8
 
 
 def check_regular(psi: Distortion) -> CheckReport:
@@ -81,6 +88,27 @@ def check_regular(psi: Distortion) -> CheckReport:
          "continuous: grid jump exceeds proxy bound"),
         (identity or np.all(psi(inner) > inner),
          "domination: psi(y) <= y at an interior grid point"),
+    )
+
+
+def check_family_right_continuous(family: DistortionFamily) -> CheckReport:
+    """Probe right-continuity in the index by finite offset, on the grid of
+    :func:`~distrisk.distortion.check_family_monotone`."""
+    x_grid = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    y_grid = np.linspace(0.0, 1.0, 41)
+
+    def values(offset: float) -> np.ndarray:  # one row per grid parameter
+        return np.array([family(x + offset)(y_grid) for x in x_grid], dtype=float)
+
+    v = values(0.0)
+    # estimate the right limit from two offsets; the linear extrapolation
+    # cancels the O(offset) drift of a smooth family while a genuine jump
+    # survives in full
+    v1, v2 = values(PROBE_OFFSET), values(2.0 * PROBE_OFFSET)
+    jumps = np.max(np.abs(2.0 * v1 - v2 - v), axis=1)
+    return CheckReport.of(
+        (not np.any(jumps > RIGHT_CONTINUITY_TOL),
+         "family fails the finite-offset right-continuity probe"),
     )
 
 

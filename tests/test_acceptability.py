@@ -11,8 +11,10 @@ from distrisk import (
     DomainError,
     Filtration,
     MinVar,
+    PiecewiseLinear,
     RandomVariable,
     ScenarioSpace,
+    build_nonmiddle_example,
     check_family_monotone,
     check_weak_rejection_dcai,
     choquet,
@@ -28,7 +30,7 @@ from distrisk.tolerance import INDEX_TOL, X_MAX, X_MIN
 
 import bruteforce
 from conftest import random_payoff, random_tree
-from premises import dcai_axiom_check
+from premises import check_family_right_continuous, dcai_axiom_check
 
 
 def coin_tree():
@@ -85,11 +87,37 @@ class TestDcai:
         with pytest.raises(DomainError):
             dcai(space, filtration, X, 0, bad)
 
+    def test_non_concave_family_rejected(self):
+        # increasing in the index, but no member is concave: each probe has
+        # choquet's premise, so dcai refuses what choquet refuses
+        family = DistortionFamily(
+            lambda x: PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.5 - 0.4 / (1.0 + x), 1.0]),
+            name="convex",
+        )
+        assert check_family_monotone(family).passed
+        ce = build_nonmiddle_example()
+        message = "risk evaluation needs a concave continuous distortion"
+        with pytest.raises(DomainError, match=message):
+            choquet(ce.space, ce.filtration, ce.X, 1, family(1.0))
+        with pytest.raises(DomainError, match=message):
+            dcai(ce.space, ce.filtration, ce.X, 1, family)
+
+    def test_family_checked_on_its_grid_only(self):
+        # one member per grid parameter, then the floor cell's one probe
+        xs = []
+        family = DistortionFamily(lambda x: xs.append(x) or MinVar(x), name="minvar")
+        space = ScenarioSpace(np.asarray([1.0]))
+        filtration = Filtration((((0,),),))
+        got = dcai(space, filtration, RandomVariable(np.asarray([-1.0])), 0, family)
+        assert got.cell_values.tolist() == [0.0]
+        assert xs == [0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, X_MIN]
+
     def test_right_discontinuous_family_still_indexed(self):
         # increasing in the index but left-continuous at the integers: the
-        # probe flags right-continuity only, and only monotonicity rejects
+        # library's check passes it, and only the tests' probe flags it
         family = DistortionFamily(lambda x: MinVar(math.ceil(x)), name="ceil")
-        assert check_family_monotone(family).failures == (
+        assert check_family_monotone(family).passed
+        assert check_family_right_continuous(family).failures == (
             "family fails the finite-offset right-continuity probe",
         )
         space = ScenarioSpace(np.full(4, 0.25))

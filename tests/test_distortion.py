@@ -23,8 +23,10 @@ from distrisk import (
     check_family_monotone,
     dirac,
     m_mu,
+    maxminvar_family,
     maxvar_family,
     measure_from_distortion,
+    minmaxvar_family,
     minvar_family,
     pprime_measure,
     psi_from_measure,
@@ -32,7 +34,7 @@ from distrisk import (
 from distrisk.distortion import FAMILY_NOT_INCREASING, MeasureDescriptor, PiecewiseLinear
 
 from conftest import random_measure
-from premises import check_regular
+from premises import check_family_right_continuous, check_regular
 from test_distortion_golden import YS
 
 
@@ -317,11 +319,14 @@ class TestCheckRegular:
 
 
 class TestFamilies:
-    def test_minvar_family_monotone(self):
-        assert check_family_monotone(minvar_family()).passed
-
-    def test_maxvar_family_monotone(self):
-        assert check_family_monotone(maxvar_family()).passed
+    @pytest.mark.parametrize(
+        "family", [minvar_family, maxvar_family, maxminvar_family, minmaxvar_family],
+        ids=lambda f: f().name,
+    )
+    def test_builtin_family_monotone_and_right_continuous(self, family):
+        family = family()
+        assert check_family_monotone(family).passed
+        assert check_family_right_continuous(family).passed
 
     def test_decreasing_reparametrization_fails(self):
         bad = DistortionFamily(lambda x: MinVar(1.0 / x), name="inverted")
