@@ -25,7 +25,7 @@ from .space import (
     Filtration,
     RandomVariable,
     ScenarioSpace,
-    conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
+    conditional_distribution,  # noqa: F401  (perfbench/tracer.py patches this name; no library path calls it)
     level_laws,
 )
 from .tolerance import BISECT_TOL, X_MAX, X_MIN

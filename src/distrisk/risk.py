@@ -26,7 +26,7 @@ from .space import (
     LevelLaws,
     RandomVariable,
     ScenarioSpace,
-    conditional_distribution,  # noqa: F401  (the per-cell path; perfbench/tracer.py times it here)
+    conditional_distribution,  # noqa: F401  (perfbench/tracer.py patches this name; no library path calls it)
     level_laws,
 )
 from .tolerance import CROSS_CHECK_TOL
@@ -104,7 +104,8 @@ def _check_alpha_tail(alpha: float) -> float:
 def _tail_mean(laws: LevelLaws, alpha: float) -> np.ndarray:
     alpha = _check_alpha_tail(alpha)
     overlap = np.clip(np.minimum(laws.F, alpha) - laws.lo, 0.0, None)
-    return -laws.sum(laws.support * overlap) / alpha
+    # divided by alpha first: a subnormal overlap times a payoff drops digits
+    return -laws.sum(laws.support * (overlap / alpha))
 
 
 def avar(space, filtration, X, t, alpha) -> AdaptedValue:

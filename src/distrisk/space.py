@@ -1,9 +1,10 @@
 """Finite filtered probability spaces.
 
 Atoms with strictly positive probabilities, refining partitions modeling the
-information flow, terminal payoffs per atom, and the per-cell conditional
-machinery (conditional laws and conditional expectations) everything else in
-this package is built on.
+information flow, terminal payoffs per atom, and the conditional machinery
+everything else in this package is built on: a payoff's laws on every cell of
+a level at once (:class:`LevelLaws`), one cell's law read off them, and
+conditional expectations.
 """
 
 from __future__ import annotations
@@ -282,41 +283,6 @@ def _check_sizes(space: ScenarioSpace, filtration: Filtration, X: RandomVariable
         raise DomainError("payoff length does not match atom count")
 
 
-def conditional_distribution(
-    space: ScenarioSpace,
-    filtration: Filtration,
-    X: RandomVariable,
-    t: int,
-    cell_index: int,
-) -> DiscreteDistribution:
-    """Law of X given the information cell at time t.
-
-    Atoms sharing the exact same value are merged by summing their
-    cell-conditional probabilities.
-    """
-    cells = filtration.cells(t)
-    if not 0 <= cell_index < len(cells):
-        raise DomainError(f"unknown cell {cell_index} at time {t}")
-    idx = list(cells[cell_index])
-    _check_sizes(space, filtration, X)
-    vals = X.values[idx]
-    probs = space.probabilities[idx]
-    cell_p = probs.sum()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    probs = probs[order]
-    support: list[float] = []
-    weights: list[float] = []
-    for v, p in zip(vals, probs):
-        if support and v == support[-1]:
-            weights[-1] += p
-        else:
-            support.append(float(v))
-            weights.append(float(p))
-    w = np.asarray(weights) / cell_p
-    return DiscreteDistribution(np.asarray(support), w)
-
-
 def _merge_ties(group: np.ndarray, n_groups: int, X: RandomVariable, mass: np.ndarray):
     """Line up the items by (group, value) and merge equal values within a
     group: the group, the value and the total mass of each merged point.
@@ -436,6 +402,30 @@ def level_laws(
     if laws is None:
         laws = kept[2][t] = LevelLaws(cell_of, filtration.n_cells(t), X, space.probabilities)
     return laws
+
+
+def conditional_distribution(
+    space: ScenarioSpace,
+    filtration: Filtration,
+    X: RandomVariable,
+    t: int,
+    cell_index: int,
+) -> DiscreteDistribution:
+    """Law of X given the information cell at time t: the cell's slice of
+    the payoff's laws at t (:func:`level_laws`), so the first call builds and
+    keeps the whole level.
+
+    The slice's weights are divided by their own sum: the cell's mass is a
+    sequential sum, whose round-off on a cell of many atoms can pass the
+    ``PROB_SUM_TOL`` that a :class:`DiscreteDistribution` allows.
+    """
+    laws = level_laws(space, filtration, X, t)
+    k = operator.index(cell_index)
+    if not 0 <= k < laws.mass.size:
+        raise DomainError(f"unknown cell {k} at time {t}")
+    a, b = laws.start[k], laws.stop[k]
+    w = laws.weights[a:b]
+    return DiscreteDistribution(laws.support[a:b], w / w.sum())
 
 
 def conditional_expectation(

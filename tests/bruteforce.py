@@ -1,9 +1,11 @@
 """Per-cell reference implementations, used as test oracles.
 
-Evaluators walk the cells one at a time: `conditional_distribution` gives
-each cell's law as a `DiscreteDistribution`, and the `distribution_*`
-functions here evaluate one such law (the library evaluates only on
-`LevelLaws`, every cell of a level at once); `dcai` brackets and bisects
+Evaluators walk the cells one at a time: `conditional_distribution` builds
+each cell's law itself, a stable sort of the cell's atoms by value and a
+merge of equal values, as a `DiscreteDistribution`, and the `distribution_*`
+functions here evaluate one such law (the library builds and evaluates only
+`LevelLaws`, every cell of a level at once, and its `conditional_distribution`
+is one cell's slice of those); `dcai` brackets and bisects
 each cell's law with its own search bounds; `merge_ties` is the two-key
 (cell, value) sort that the level laws must line up with; the structural
 maps and the checkers are the straightforward loops over cells and
@@ -38,9 +40,10 @@ from distrisk.risk import _check_alpha_tail
 from distrisk.space import (
     RENORM_WINDOW,
     DiscreteDistribution,
+    DomainError,
     Filtration,
     RandomVariable,
-    conditional_distribution,
+    _check_sizes,
     level_laws,
 )
 from distrisk.tolerance import BISECT_TOL, X_MAX, X_MIN
@@ -124,6 +127,35 @@ def distribution_dwvar(dist: DiscreteDistribution, mu: DistortionMeasure) -> flo
             for s, w in zip(mu.support, mu.weights)
         )
     )
+
+
+def conditional_distribution(space, filtration, X, t, cell_index):
+    """Law of X given the information cell at time t.
+
+    Atoms sharing the exact same value are merged by summing their
+    cell-conditional probabilities.
+    """
+    cells = filtration.cells(t)
+    if not 0 <= cell_index < len(cells):
+        raise DomainError(f"unknown cell {cell_index} at time {t}")
+    idx = list(cells[cell_index])
+    _check_sizes(space, filtration, X)
+    vals = X.values[idx]
+    probs = space.probabilities[idx]
+    cell_p = probs.sum()
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    probs = probs[order]
+    support: list[float] = []
+    weights: list[float] = []
+    for v, p in zip(vals, probs):
+        if support and v == support[-1]:
+            weights[-1] += p
+        else:
+            support.append(float(v))
+            weights.append(float(p))
+    w = np.asarray(weights) / cell_p
+    return DiscreteDistribution(np.asarray(support), w)
 
 
 def laws(space, filtration, X, t):

@@ -44,9 +44,8 @@ from distrisk import (
     psi_from_measure,
 )
 from distrisk.consistency import is_pprime
-from distrisk.space import conditional_distribution
 
-from bruteforce import distribution_choquet, distribution_dwvar
+from bruteforce import conditional_distribution, distribution_choquet, distribution_dwvar
 from conftest import (
     random_measure,
     random_payoff,

@@ -53,7 +53,7 @@ from distrisk import (
 from distrisk import acceptability, consistency, risk
 from distrisk import space as space_module
 from distrisk.space import Level, conditional_distribution, level_laws
-from distrisk.tolerance import ANALYTIC_TOL
+from distrisk.tolerance import ANALYTIC_TOL, PROB_SUM_TOL
 
 from conftest import fresh_laws, random_measure, random_regular_distortion, random_tree
 
@@ -183,7 +183,7 @@ class TestLevelLaws:
         for t in range(filtration.horizon + 1):
             laws = fresh_laws(space, filtration, X, t)
             for k, (a, b) in enumerate(zip(laws.start, laws.stop)):
-                d = conditional_distribution(space, filtration, X, t, k)
+                d = bruteforce.conditional_distribution(space, filtration, X, t, k)
                 assert np.array_equal(laws.support[a:b], d.support)
                 assert np.all(laws.cell[a:b] == k)
                 assert_close(laws.weights[a:b], d.weights)
@@ -266,7 +266,7 @@ class TestLevelLaws:
         filtration = Filtration((((0, 1, 2, 3),), ((0,), (1,), (2,), (3,))))
         X = RandomVariable([0.0, 1.0, 2.0, 3.0])
         assert fresh_laws(space, filtration, X, 0).F.tolist() == [0.342, 0.9000000000000001, 1.0, 1.0]
-        d = conditional_distribution(space, filtration, X, 0, 0)
+        d = bruteforce.conditional_distribution(space, filtration, X, 0, 0)
         assert choquet(space, filtration, X, 0, psi).cell_values[0] == bruteforce.distribution_choquet(d, psi)
         assert dcai(space, filtration, X, 0, family).cell_values.tolist() == [math.inf]
 
@@ -1111,3 +1111,64 @@ class TestCellMass:
         for laws in (fresh_laws(space, filtration, X, 2), level_laws(space, filtration, X, 2)):
             with pytest.raises(ValueError):
                 laws.mass[0] = 0.0
+
+
+class TestCellLawView:
+    """`conditional_distribution`: one cell's slice of the kept level laws."""
+
+    def test_matches_per_cell_oracle(self, fixture_pool):
+        trees = list(fixture_pool) + [tie_heavy_tree(), sized_tree(np.random.default_rng(293))]
+        for space, filtration, X in trees:
+            for t in range(filtration.horizon + 1):
+                for k in range(filtration.n_cells(t)):
+                    got = conditional_distribution(space, filtration, X, t, k)
+                    want = bruteforce.conditional_distribution(space, filtration, X, t, k)
+                    assert np.array_equal(got.support, want.support)
+                    assert np.all(np.abs(got.weights - want.weights) <= 1e-15 * want.weights)
+
+    def test_second_call_builds_nothing(self, monkeypatch):
+        space, filtration, X = tie_heavy_tree()
+        built = []
+
+        class Counting(LevelLaws):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(space_module, "LevelLaws", Counting)
+        first = conditional_distribution(space, filtration, X, 1, 2)
+        assert len(built) == 1
+        again = conditional_distribution(space, filtration, X, 1, 2)
+        conditional_distribution(space, filtration, X, 1, 0)
+        assert len(built) == 1
+        assert again.support.tobytes() == first.support.tobytes()
+        assert again.weights.tobytes() == first.weights.tobytes()
+
+    def test_big_cell_renormalized(self):
+        """10^5 equal-probability atoms in one cell: the level laws' weights
+        sum to 1 only within O(n eps), beyond PROB_SUM_TOL, so the view holds
+        a law only because it divides the slice by its own sum."""
+        n = 100_000
+        gen = np.random.default_rng(7)
+        space = ScenarioSpace(np.full(n, 1.0 / n))
+        filtration = Filtration([Level(np.arange(n, dtype=np.int32), np.asarray([n], np.int32))])
+        X = RandomVariable(np.round(gen.normal(0.0, 1.0, n), 2))
+        raw = level_laws(space, filtration, X, 0).weights
+        assert abs(raw.sum() - 1.0) > PROB_SUM_TOL
+        d = conditional_distribution(space, filtration, X, 0, 0)
+        assert np.array_equal(d.support, np.unique(X.values))
+        assert abs(d.weights.sum() - 1.0) <= 1e-15
+
+    def test_bad_arguments_rejected(self):
+        space, filtration, X = tie_heavy_tree()
+        n = filtration.n_cells(1)
+        for k in (-1, n):
+            with pytest.raises(DomainError, match=f"^unknown cell {k} at time 1$"):
+                conditional_distribution(space, filtration, X, 1, k)
+        with pytest.raises(DomainError, match="^time 3 outside 0..2$"):
+            conditional_distribution(space, filtration, X, 3, 0)
+        with pytest.raises(DomainError, match="^payoff length does not match atom count$"):
+            conditional_distribution(space, filtration, RandomVariable(np.zeros(3)), 1, 0)
+        d = conditional_distribution(space, filtration, X, 1, np.int64(n - 1))
+        want = conditional_distribution(space, filtration, X, 1, n - 1)
+        assert d.support.tobytes() == want.support.tobytes()

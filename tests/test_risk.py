@@ -16,6 +16,7 @@ from distrisk import (
     ScenarioSpace,
     avar,
     avar_robust,
+    build_weakacc_continuous,
     choquet,
     conditional_expectation,
     dirac,
@@ -29,10 +30,9 @@ from distrisk import (
     var,
 )
 from distrisk.distortion import PiecewiseLinear
-from distrisk.space import conditional_distribution
 from distrisk.tolerance import CROSS_CHECK_TOL
 
-from bruteforce import distribution_choquet
+from bruteforce import conditional_distribution, distribution_choquet
 from conftest import (
     random_measure,
     random_payoff,
@@ -225,6 +225,17 @@ class TestAvar:
         with pytest.raises(DomainError):
             avar(space, filtration, X, 0, 0.0)
 
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_level_is_minus_smallest_payoff(self, fixture_pool, alpha):
+        """A level below every weight puts the whole tail on each cell's
+        smallest payoff, with overlap alpha: divided by alpha before it meets
+        the payoff, it is exactly 1, so no subnormal product drops digits."""
+        for space, filtration, X in fixture_pool[::5]:
+            for t in range(filtration.horizon + 1):
+                smallest = [X.values[list(cell)].min() for cell in filtration.cells(t)]
+                got = avar(space, filtration, X, t, alpha).cell_values
+                assert got.tolist() == [-x for x in smallest]
+
     def test_robust_form_three_point(self):
         space, filtration, X = three_point()
         assert avar_robust(space, filtration, X, 0, 0.5).cell_values[0] == 1.0
@@ -303,6 +314,16 @@ class TestDwvar:
                 dwvar(space, filtration, X, 0, dirac(0.5))
         else:
             assert dwvar(space, filtration, X, 0, dirac(0.5)).cell_values[0] == 1.0
+
+    def test_subnormal_level_passes_cross_check(self):
+        """A Dirac measure at 1e-320 on the 10,000-atom continuum tree: the
+        tail mean is minus the smallest payoff, as the distortion form says."""
+        ce = build_weakacc_continuous(
+            DistortionMeasure(np.asarray([0.25, 1.0]), np.asarray([0.5, 0.5])), 10_000
+        )
+        with np.errstate(over="ignore"):  # psi_from_measure's slope 1/s overflows
+            got = dwvar(ce.space, ce.filtration, ce.X, 0, dirac(1e-320)).cell_values
+        assert got.tolist() == [-ce.X.values.min()]
 
     def test_large_payoffs_near_zero_risk(self):
         """Payoffs near 1e9 whose weighted VaR is near 0: the two forms differ
